@@ -148,7 +148,8 @@ def cmd_sod(args) -> int:
     faithful = sod.fully_faithful_check(datum)
     checks.append(report.Check(
         name="fully-faithful", ok=faithful.ok,
-        summary=f"{len(faithful.pairs)} ordered pairs, "
+        summary=f"{len(spans)} classes, extremal delta_w = "
+                f"{serialize.fraction_str(faithful.pairs[0].delta_w)}, "
                 f"{len(faithful.koszul)} Koszul corners",
         rows=tuple({"source": _fmt_label(p.source),
                     "target": _fmt_label(p.target),
@@ -294,9 +295,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="write the canonical JSON report here")
         p.add_argument("--markdown", metavar="PATH",
                        help="write the markdown report here")
-        p.add_argument("--seed", type=int, default=0,
-                       help="reserved for sampling strategies; the current "
-                            "checks are exhaustive and deterministic")
 
     p_classify = sub.add_parser("classify",
                                 help="trichotomy of a local model")
@@ -331,7 +329,6 @@ def main(argv=None) -> int:
         print("error: --box must be nonnegative", file=sys.stderr)
         return 2
     try:
-        oracle.thread_count()  # validate TORSOD_THREADS up front
         return args.func(args)
     except errors.ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)

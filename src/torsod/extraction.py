@@ -178,6 +178,16 @@ def weighted_sum_partial(d: ExtractionDatum, k) -> Fraction:
                Fraction(0))
 
 
+def relation_rows(d: ExtractionDatum, count: int) -> list[list[int]]:
+    """The rows r_i v_i of the first ``count`` rays.
+
+    Their cokernel Z^count / {(r_i <m, v_i>)_i : m in M} is the class group
+    of the extraction side for count = n + 1, of the base cone for count = n,
+    and Z^alpha modulo the exact transfer lattice for count = alpha.
+    """
+    return [[d.orders[i] * x for x in d.rays[i]] for i in range(count)]
+
+
 @dataclass(frozen=True)
 class FibrationDatum:
     """Combinatorics of the exceptional divisor fibered over its center.

@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from . import errors, lattice, oracle, serialize, sod
-from .extraction import ExtractionDatum, make_datum
+from .extraction import ExtractionDatum, make_datum, relation_rows
 from .oracle import StackyFan, make_fan
 
 
@@ -403,12 +403,10 @@ def transfer_label(pair: ModelPair, fiber: FiberModel, k_local):
     star exponent by the monomial twist: ktilde_j = k_j - r_j <m, u_j>.
     """
     d = pair.datum
-    alpha = d.alpha
     if len(k_local) != d.n:
         raise ValueError(f"local label must have length {d.n}")
-    rows = [[d.orders[i] * d.rays[i][j] for j in range(d.n)]
-            for i in range(alpha)]
-    m0 = lattice.solve_integer(rows, list(k_local[:alpha]))
+    m0 = lattice.solve_integer(relation_rows(d, d.alpha),
+                               list(k_local[:d.alpha]))
     if m0 is None:
         return None
     full = y_label(pair, k_local)

@@ -15,8 +15,6 @@ All arithmetic is exact.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -101,31 +99,6 @@ def validate_fan(fan: StackyFan) -> None:
     missing = sorted(set(range(len(fan.rays))) - covered)
     if missing:
         raise errors.SchemaError(f"rays {missing} lie in no maximal cone")
-
-
-def thread_count() -> int:
-    """Worker count from TORSOD_THREADS; defaults to 1, rejects nonpositive."""
-    raw = os.environ.get("TORSOD_THREADS")
-    if raw is None:
-        return 1
-    try:
-        value = int(raw)
-    except ValueError:
-        raise errors.SchemaError(
-            f"TORSOD_THREADS must be an integer, got {raw!r}") from None
-    if value < 1:
-        raise errors.SchemaError(
-            f"TORSOD_THREADS must be positive, got {value}")
-    return value
-
-
-def _map_ordered(fn, items):
-    """Apply fn over items, preserving order; threads when configured."""
-    workers = thread_count()
-    if workers == 1 or len(items) < 2:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 # ---------------------------------------------------------------------------
@@ -311,14 +284,10 @@ def cohomology(fan: StackyFan, k) -> CohomologyVector:
 @lru_cache(maxsize=None)
 def _cohomology_cached(fan: StackyFan, k: tuple[int, ...]) -> CohomologyVector:
     lo, hi = _certified_box(fan, k)
-    points = list(_box_points(lo, hi))
-
-    def piece(m):
-        return _pattern_cohomology(fan, _negative_pattern(fan, k, m))
-
     dims = [0] * (fan.rank + 1)
     support = []
-    for m, h in zip(points, _map_ordered(piece, points)):
+    for m in _box_points(lo, hi):
+        h = _pattern_cohomology(fan, _negative_pattern(fan, k, m))
         if any(h):
             support.append((m, h))
             for q, x in enumerate(h):
@@ -343,12 +312,8 @@ def euler_characteristic(fan: StackyFan, k) -> int:
     if len(k) != len(fan.rays):
         raise ValueError(f"label must have length {len(fan.rays)}")
     lo, hi = _certified_box(fan, k)
-    points = list(_box_points(lo, hi))
-
-    def contribution(m):
-        return _pattern_euler(fan, _negative_pattern(fan, k, m))
-
-    return sum(_map_ordered(contribution, points))
+    return sum(_pattern_euler(fan, _negative_pattern(fan, k, m))
+               for m in _box_points(lo, hi))
 
 
 def section_count(fan: StackyFan, k) -> int:

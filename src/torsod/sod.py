@@ -24,6 +24,7 @@ from .extraction import (
     ExtractionDatum,
     MorphismKind,
     classify,
+    relation_rows,
     sigma,
     sigma_alpha,
     validate,
@@ -101,10 +102,7 @@ def exceptional_lattice(d: ExtractionDatum) -> lattice.AbelianGroup:
     label supported on the first alpha rays to be invertible rather than
     zero, so the quotient indexes the genuinely distinct transfers.
     """
-    alpha = d.alpha
-    cols_matrix = [[d.orders[i] * d.rays[i][j] for j in range(d.n)]
-                   for i in range(alpha)]
-    return lattice.cokernel(cols_matrix)
+    return lattice.cokernel(relation_rows(d, d.alpha))
 
 
 @dataclass(frozen=True)
@@ -117,9 +115,7 @@ class SpanningClass:
 
 def class_group(d: ExtractionDatum) -> lattice.AbelianGroup:
     """Divisor class group of the extraction side of the local model."""
-    rows = [[d.orders[i] * d.rays[i][j] for j in range(d.n)]
-            for i in range(d.n + 1)]
-    return lattice.cokernel(rows)
+    return lattice.cokernel(relation_rows(d, d.n + 1))
 
 
 def spanning_classes(d: ExtractionDatum) -> list[SpanningClass]:
@@ -304,10 +300,7 @@ def transfer_is_invertible(d: ExtractionDatum, k_local) -> bool:
     """
     if len(k_local) != d.n:
         raise ValueError(f"local exponent vector must have length {d.n}")
-    alpha = d.alpha
-    rows = [[d.orders[i] * d.rays[i][j] for j in range(d.n)]
-            for i in range(alpha)]
-    return lattice.solve_integer(rows, list(k_local[:alpha])) is not None
+    return exceptional_lattice(d).contains(k_local[:d.alpha])
 
 
 @dataclass(frozen=True)
@@ -325,7 +318,7 @@ class PairInequality:
 class FaithfulnessReport:
     ok: bool
     head_ok: bool                              # a_{n+1}/r_{n+1} < -sigma_alpha
-    pairs: tuple[PairInequality, ...]
+    pairs: tuple[PairInequality, ...]          # the one extremal pair
     koszul: tuple[tuple[tuple[int, ...], Fraction, bool], ...]
 
 
@@ -333,10 +326,17 @@ def fully_faithful_check(d: ExtractionDatum) -> FaithfulnessReport:
     """Inequality certificates that comparison on spanning pairs is bijective.
 
     For every ordered pair of spanning classes the difference must sit
-    strictly inside the symmetric window (|w| < sigma_alpha) and its
-    pushforward must have vanishing higher derived images; on the Koszul side
-    every nonempty corner sum must sit strictly between 0 and the exceptional
-    stride |a_{n+1}| / r_{n+1}.
+    strictly inside the symmetric window (|delta_w| < sigma_alpha) and its
+    pushforward must have vanishing higher derived images (delta_w >
+    -sigma_alpha); on the Koszul side every nonempty corner sum must sit
+    strictly between 0 and the exceptional stride |a_{n+1}| / r_{n+1}.
+
+    One pair decides the spanning side.  w is additive, so over all ordered
+    pairs delta_w = w_target - w_source ranges over [w_min - w_max,
+    w_max - w_min].  Both inequalities hold for every pair exactly when they
+    hold for the pair from the class of largest w to the class of smallest w,
+    so ``pairs`` holds that one extremal pair and the verdict is the same as
+    checking all |span|^2 pairs.
     """
     _require_extraction(d)
     sa = sigma_alpha(d)
@@ -344,18 +344,17 @@ def fully_faithful_check(d: ExtractionDatum) -> FaithfulnessReport:
     head_ok = Fraction(d.coefficients[-1], d.orders[-1]) < -sa
 
     spans = spanning_classes(d)
-    pairs = []
-    for p in spans:
-        for q in spans:
-            delta = tuple(x - y for x, y in zip(p.label, q.label))
-            dw = weighted_sum(d, delta)
-            pairs.append(PairInequality(
-                source=q.label,
-                target=p.label,
-                delta_w=dw,
-                within_bounds=-sa < -dw < sa,
-                higher_vanishing=pushforward(d, delta).higher_vanishing,
-            ))
+    q = max(spans, key=lambda c: c.w)
+    p = min(spans, key=lambda c: c.w)
+    delta = tuple(x - y for x, y in zip(p.label, q.label))
+    dw = weighted_sum(d, delta)
+    extremal = PairInequality(
+        source=q.label,
+        target=p.label,
+        delta_w=dw,
+        within_bounds=-sa < -dw < sa,
+        higher_vanishing=pushforward(d, delta).higher_vanishing,
+    )
 
     koszul = []
     alpha = d.alpha
@@ -366,9 +365,9 @@ def fully_faithful_check(d: ExtractionDatum) -> FaithfulnessReport:
         koszul.append((subset, part, 0 < part < stride))
 
     ok = (head_ok
-          and all(p.within_bounds and p.higher_vanishing for p in pairs)
+          and extremal.within_bounds and extremal.higher_vanishing
           and all(entry[2] for entry in koszul))
-    return FaithfulnessReport(ok=ok, head_ok=head_ok, pairs=tuple(pairs),
+    return FaithfulnessReport(ok=ok, head_ok=head_ok, pairs=(extremal,),
                               koszul=tuple(koszul))
 
 
@@ -475,8 +474,7 @@ def generator_count_identity(d: ExtractionDatum):
 
     _require_extraction(d)
     n, alpha = d.n, d.alpha
-    lhs = abs(lattice.determinant(
-        [[d.orders[i] * d.rays[i][j] for j in range(n)] for i in range(n)]))
+    lhs = abs(lattice.determinant(relation_rows(d, n)))
     fib = induced_fibration(d)
     if alpha == n:
         fiber_order = 1

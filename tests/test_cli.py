@@ -68,8 +68,8 @@ def test_sod_reports_are_deterministic(tmp_path, capsys):
     code, _, _ = run(["sod", "a1-half", "--box", "2",
                       "--json", str(j1), "--markdown", str(m1)], capsys)
     assert code == 0
-    code, _, _ = run(["sod", "a1-half", "--box", "2", "--json", str(j2),
-                      "--seed", "99"], capsys)
+    code, _, _ = run(["sod", "a1-half", "--box", "2", "--json", str(j2)],
+                     capsys)
     assert code == 0
     assert j1.read_bytes() == j2.read_bytes()
     report = json.loads(j1.read_bytes())
@@ -140,13 +140,6 @@ def test_schema_error_in_fan_file(tmp_path, capsys):
         {"lattice_rank": 1, "rays": [{"v": [1], "r": 1}]}))
     code, _, err = run(["oracle", str(path)], capsys)
     assert code == 2
-
-
-def test_bad_thread_env(monkeypatch, capsys):
-    monkeypatch.setenv("TORSOD_THREADS", "-2")
-    code, _, err = run(["classify", "a1-half"], capsys)
-    assert code == 2
-    assert "TORSOD_THREADS" in err
 
 
 def test_negative_box_rejected(capsys):

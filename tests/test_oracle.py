@@ -21,7 +21,6 @@ from torsod.errors import (
     OracleBoxError,
     SchemaError,
 )
-from torsod.oracle import thread_count
 
 
 def test_p1_line_bundles():
@@ -152,30 +151,6 @@ def test_oracle_box_error_on_affine_fan():
     fan = make_fan(1, ((1,),), (1,), ((0,),))
     with pytest.raises(OracleBoxError):
         cohomology(fan, (0,))
-
-
-def test_thread_env_parsing(monkeypatch):
-    monkeypatch.delenv("TORSOD_THREADS", raising=False)
-    assert thread_count() == 1
-    monkeypatch.setenv("TORSOD_THREADS", "3")
-    assert thread_count() == 3
-    monkeypatch.setenv("TORSOD_THREADS", "zero")
-    with pytest.raises(SchemaError):
-        thread_count()
-    monkeypatch.setenv("TORSOD_THREADS", "0")
-    with pytest.raises(SchemaError):
-        thread_count()
-
-
-def test_threaded_results_match(monkeypatch):
-    p2 = canned_fan("p2")
-    monkeypatch.delenv("TORSOD_THREADS", raising=False)
-    base = [cohomology(p2, (a, b, 0)).dims
-            for a in range(-2, 3) for b in range(-2, 3)]
-    monkeypatch.setenv("TORSOD_THREADS", "4")
-    threaded = [cohomology(p2, (a, b, 0)).dims
-                for a in range(-2, 3) for b in range(-2, 3)]
-    assert base == threaded
 
 
 def test_cohomology_reports_support():

@@ -4,8 +4,10 @@ from itertools import product
 
 import pytest
 
+import torsod.sod as sod_module
 from torsod import (
     GenerationCertificate,
+    SpanningClass,
     block_labels,
     canned_example,
     class_group,
@@ -18,10 +20,12 @@ from torsod import (
     in_spanning_window,
     pushforward,
     semiorthogonality_check,
+    sigma_alpha,
     solved_exceptional_exponent,
     spanning_classes,
     transfer_is_invertible,
     verify_certificate,
+    weighted_sum,
 )
 from torsod.errors import RequiresExtraction
 
@@ -170,8 +174,53 @@ def test_fully_faithful_check(extraction_pairs):
         report = fully_faithful_check(pair.datum)
         assert report.ok, pair.name
         assert report.head_ok
-        n_span = len(spanning_classes(pair.datum))
-        assert len(report.pairs) == n_span * n_span
+        assert len(report.pairs) == 1
+
+
+def _all_pairs_verdict(d):
+    """Reference: check every ordered pair of spanning classes directly."""
+    sa = sigma_alpha(d)
+    spans = sod_module.spanning_classes(d)
+    pairs_ok = True
+    for p in spans:
+        for q in spans:
+            delta = tuple(x - y for x, y in zip(p.label, q.label))
+            dw = weighted_sum(d, delta)
+            pairs_ok &= -sa < -dw < sa and pushforward(d, delta).higher_vanishing
+    report = fully_faithful_check(d)
+    return pairs_ok and report.head_ok and all(ok for _, _, ok in report.koszul)
+
+
+def _inject(monkeypatch, d, label):
+    """Make sod.spanning_classes(d) return the true classes plus ``label``."""
+    spans = spanning_classes(d) + [
+        SpanningClass(label=label, w=weighted_sum(d, label))]
+    monkeypatch.setattr(sod_module, "spanning_classes", lambda _d: spans)
+
+
+def test_fully_faithful_matches_all_pairs(extraction_pairs, twist_datum,
+                                          monkeypatch):
+    verdicts = []
+    for d in [pair.datum for pair in extraction_pairs] + [twist_datum]:
+        assert fully_faithful_check(d).ok == _all_pairs_verdict(d)
+        for c in spanning_classes(d):
+            for i in range(d.n + 1):
+                for step in (-1, 1):
+                    label = c.label[:i] + (c.label[i] + step,) + c.label[i + 1:]
+                    _inject(monkeypatch, d, label)
+                    report = fully_faithful_check(d)
+                    assert len(report.pairs) == 1
+                    assert report.ok == _all_pairs_verdict(d)
+                    verdicts.append(report.ok)
+                    monkeypatch.undo()
+        # For an extraction one exceptional stride exceeds sigma_alpha, so a
+        # class one stride below the lowest spanning class breaks both checks.
+        low = min(spanning_classes(d), key=lambda c: c.w)
+        _inject(monkeypatch, d, low.label[:-1] + (low.label[-1] + 1,))
+        assert not fully_faithful_check(d).ok
+        assert not _all_pairs_verdict(d)
+        monkeypatch.undo()
+    assert True in verdicts and False in verdicts
 
 
 def test_semiorthogonality_check(extraction_pairs):
