@@ -50,7 +50,7 @@ class DegenerateDatum(TorsodError):
 
 
 class OracleBoxError(TorsodError):
-    """The cohomology bounding box failed to certify within the expansion limit."""
+    """Cohomology was asked of an incomplete fan, where it need not be finite."""
 
 
 class DepthExceeded(TorsodError):

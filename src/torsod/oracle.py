@@ -7,10 +7,10 @@ subcomplex of the fan's ray complex on the "negative" rays
 
     { j : r_j * <m, v_j> + k_j < 0 }.
 
-Only finitely many m contribute because the fan is complete; the scan box is
-derived from the vertices of the hyperplane arrangement r_j <m, v_j> = -k_j
-and certified by checking that nothing survives on its boundary shell.
-All arithmetic is exact.
+Only finitely many m contribute because the fan is complete, and those lie
+in the bounding box of the vertices of the hyperplane arrangement
+r_j <m, v_j> = -k_j (argument in :func:`_certified_box`); completeness is
+checked once per fan before any scan.  All arithmetic is exact.
 """
 
 from __future__ import annotations
@@ -22,8 +22,6 @@ from itertools import combinations, product
 from math import ceil, floor
 
 from . import errors, lattice
-
-_SHELL_DOUBLINGS = 8
 
 
 @dataclass(frozen=True)
@@ -180,9 +178,19 @@ def _negative_pattern(fan: StackyFan, k, m) -> frozenset:
     return frozenset(j for j in range(len(k)) if dots[j] + k[j] < 0)
 
 
+def _label(fan: StackyFan, k) -> tuple[int, ...]:
+    k = tuple(int(x) for x in k)
+    if len(k) != len(fan.rays):
+        raise ValueError(f"label must have length {len(fan.rays)}")
+    return k
+
+
 def graded_piece(fan: StackyFan, k, m) -> tuple[int, ...]:
     """Cohomology dims contributed by the single character m."""
-    return _pattern_cohomology(fan, _negative_pattern(fan, tuple(k), tuple(m)))
+    m = tuple(int(x) for x in m)
+    if len(m) != fan.rank:
+        raise ValueError(f"character must have length {fan.rank}")
+    return _pattern_cohomology(fan, _negative_pattern(fan, _label(fan, k), m))
 
 
 # ---------------------------------------------------------------------------
@@ -209,54 +217,39 @@ def _arrangement_vertices(fan: StackyFan, k):
     return verts
 
 
-def _initial_box(fan: StackyFan, k):
-    verts = _arrangement_vertices(fan, k)
-    if not verts:
-        return [0] * fan.rank, [0] * fan.rank
-    lo = [min(floor(v[i]) for v in verts) - 1 for i in range(fan.rank)]
-    hi = [max(ceil(v[i]) for v in verts) + 1 for i in range(fan.rank)]
-    return lo, hi
-
-
 def _box_points(lo, hi):
     return product(*(range(a, b + 1) for a, b in zip(lo, hi)))
 
 
-def _shell_points(lo, hi):
-    for m in _box_points(lo, hi):
-        if any(x == a or x == b for x, a, b in zip(m, lo, hi)):
-            yield m
+@lru_cache(maxsize=None)
+def _require_complete(fan: StackyFan) -> None:
+    if not check_complete(fan):
+        raise errors.OracleBoxError(
+            "cohomology needs a complete fan; this fan is not complete")
 
 
 @lru_cache(maxsize=None)
 def _certified_box(fan: StackyFan, k) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Scan box whose boundary shell provably contributes nothing.
+    """Bounding box of the arrangement vertices; no character outside it counts.
 
-    Starts from the bounding box of the arrangement vertices padded by one,
-    then doubles the padding until every shell point has zero cohomology in
-    all degrees and zero Euler contribution, or gives up after a fixed number
-    of doublings.
+    The argument (Cox-Little-Schenck, *Toric Varieties*, section 9.1):
+
+    1. The negative pattern is constant on each face of the arrangement
+       r_j <m, v_j> = -k_j.
+    2. An unbounded face that holds one lattice point holds infinitely many,
+       because its recession cone is rational.
+    3. Cohomology on a complete fan is finite, so such a face has an acyclic
+       pattern: zero cohomology, zero Euler piece and no section (the empty
+       pattern is not acyclic).
+    4. Bounded faces lie in the convex hull of the arrangement vertices.
+
+    Completeness is checked first; an incomplete fan raises OracleBoxError.
     """
-    lo, hi = _initial_box(fan, k)
-    if fan.rank == 0:
-        return tuple(lo), tuple(hi)
-    pad = [max(1, (b - a) // 2 or 1) for a, b in zip(lo, hi)]
-    for _ in range(_SHELL_DOUBLINGS + 1):
-        clean = True
-        for m in _shell_points(lo, hi):
-            pattern = _negative_pattern(fan, k, m)
-            if (any(_pattern_cohomology(fan, pattern))
-                    or _pattern_euler(fan, pattern) != 0):
-                clean = False
-                break
-        if clean:
-            return tuple(lo), tuple(hi)
-        lo = [a - p for a, p in zip(lo, pad)]
-        hi = [b + p for b, p in zip(hi, pad)]
-        pad = [2 * p for p in pad]
-    raise errors.OracleBoxError(
-        f"label {tuple(k)}: shell still contributes after "
-        f"{_SHELL_DOUBLINGS} box doublings; is the fan complete?")
+    _require_complete(fan)
+    verts = _arrangement_vertices(fan, k)
+    lo = tuple(min(floor(v[i]) for v in verts) for i in range(fan.rank))
+    hi = tuple(max(ceil(v[i]) for v in verts) for i in range(fan.rank))
+    return lo, hi
 
 
 # ---------------------------------------------------------------------------
@@ -275,10 +268,7 @@ class CohomologyVector:
 
 def cohomology(fan: StackyFan, k) -> CohomologyVector:
     """All cohomology dims of the sheaf with ray exponents k, exactly."""
-    k = tuple(int(x) for x in k)
-    if len(k) != len(fan.rays):
-        raise ValueError(f"label must have length {len(fan.rays)}")
-    return _cohomology_cached(fan, k)
+    return _cohomology_cached(fan, _label(fan, k))
 
 
 @lru_cache(maxsize=None)
@@ -298,19 +288,19 @@ def _cohomology_cached(fan: StackyFan, k: tuple[int, ...]) -> CohomologyVector:
 
 def ext_groups(fan: StackyFan, k, k_prime) -> CohomologyVector:
     """Ext^q(O(k_prime), O(k)) = H^q of the difference label k - k_prime."""
-    diff = tuple(a - b for a, b in zip(k, k_prime))
+    diff = tuple(a - b for a, b in zip(_label(fan, k), _label(fan, k_prime)))
     return cohomology(fan, diff)
 
 
 def euler_characteristic(fan: StackyFan, k) -> int:
     """Alternating sum over degrees, computed from face counts alone.
 
-    Shares the certified box with :func:`cohomology` but none of the rank
-    computations, so agreement between the two is a real consistency check.
+    Scans the same vertex box as :func:`cohomology` (characters outside it
+    have zero Euler piece, see :func:`_certified_box`) but shares none of the
+    rank computations, so agreement between the two is a real consistency
+    check.
     """
-    k = tuple(int(x) for x in k)
-    if len(k) != len(fan.rays):
-        raise ValueError(f"label must have length {len(fan.rays)}")
+    k = _label(fan, k)
     lo, hi = _certified_box(fan, k)
     return sum(_pattern_euler(fan, _negative_pattern(fan, k, m))
                for m in _box_points(lo, hi))
@@ -322,7 +312,7 @@ def section_count(fan: StackyFan, k) -> int:
     Direct lattice-point count of the section polytope; used to double-check
     the degree-0 entry of :func:`cohomology`.
     """
-    k = tuple(int(x) for x in k)
+    k = _label(fan, k)
     lo, hi = _certified_box(fan, k)
     count = 0
     for m in _box_points(lo, hi):
@@ -451,8 +441,8 @@ def oracle_self_check(fan: StackyFan, bound: int) -> SelfCheckReport:
     """
     complete = check_complete(fan)
     if not complete:
-        # cohomology is only certifiable on complete fans; report the
-        # failure without attempting scans that cannot terminate
+        # cohomology is only finite on complete fans; report the failure
+        # without attempting scans, which would raise OracleBoxError
         return SelfCheckReport(
             ok=False, complete=False, zero_label_ok=False,
             duality=DualityReport(ok=True, checked=0, mismatches=()),

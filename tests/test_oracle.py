@@ -1,13 +1,18 @@
+import random
+from itertools import product
 from math import comb
 
 import pytest
 
 from torsod import (
+    canned_example,
     canned_fan,
     check_complete,
     cohomology,
     euler_characteristic,
+    example_names,
     ext_groups,
+    fiber_model,
     graded_piece,
     make_fan,
     oracle_self_check,
@@ -21,6 +26,7 @@ from torsod.errors import (
     OracleBoxError,
     SchemaError,
 )
+from torsod.oracle import _certified_box
 
 
 def test_p1_line_bundles():
@@ -151,6 +157,64 @@ def test_oracle_box_error_on_affine_fan():
     fan = make_fan(1, ((1,),), (1,), ((0,),))
     with pytest.raises(OracleBoxError):
         cohomology(fan, (0,))
+    # P^2 with one maximal cone removed: an unbounded cell carries infinite
+    # H^1, so every scan must refuse the fan rather than report (1, 0, 0).
+    fan = make_fan(2, ((1, 0), (0, 1), (-1, -1)), (1, 1, 1),
+                   ((0, 1), (1, 2)))
+    for scan in (cohomology, euler_characteristic, section_count):
+        with pytest.raises(OracleBoxError):
+            scan(fan, (0, 0, 0))
+    with pytest.raises(OracleBoxError):
+        ext_groups(fan, (0, 0, 0), (0, 0, 0))
+
+
+@pytest.mark.parametrize("call", [
+    lambda p1: cohomology(p1, (1,)),
+    lambda p1: euler_characteristic(p1, (1, 0, 0)),
+    lambda p1: section_count(p1, (1,)),
+    lambda p1: ext_groups(p1, (1, 0), (1,)),
+    lambda p1: graded_piece(p1, (1,), (0,)),
+    lambda p1: graded_piece(p1, (1, 0), (0, 0)),
+], ids=["cohomology", "euler", "sections", "ext", "piece-label",
+        "piece-character"])
+def test_label_and_character_lengths_are_checked(call):
+    with pytest.raises(ValueError):
+        call(canned_fan("p1"))
+
+
+def _box_theorem_fans():
+    fans = [canned_fan(name) for name in ("p1", "p2", "stacky-p1")]
+    for name in example_names():
+        pair = canned_example(name)
+        fans += [pair.fan_y, pair.fan_x, fiber_model(pair).fan]
+    return list(dict.fromkeys(fans))
+
+
+def test_vertex_box_misses_nothing():
+    """Reference scan over the vertex box widened by 3 on every side.
+
+    Graded pieces are nonnegative, so equal totals mean that no character
+    outside the vertex box contributes in any degree.
+    """
+    rng = random.Random(20120117)
+    for fan in _box_theorem_fans():
+        nrays = len(fan.rays)
+        for _ in range(10):
+            k = tuple(rng.randint(-7, 7) for _ in range(nrays))
+            lo, hi = _certified_box(fan, k)
+            dims = [0] * (fan.rank + 1)
+            chi = 0
+            sections = 0
+            for m in product(*(range(a - 3, b + 4) for a, b in zip(lo, hi))):
+                h = graded_piece(fan, k, m)
+                dims = [x + y for x, y in zip(dims, h)]
+                chi += sum((-1) ** q * x for q, x in enumerate(h))
+                sections += all(
+                    r * sum(a * b for a, b in zip(m, v)) + kj >= 0
+                    for v, r, kj in zip(fan.rays, fan.orders, k))
+            assert cohomology(fan, k).dims == tuple(dims), (fan, k)
+            assert euler_characteristic(fan, k) == chi, (fan, k)
+            assert section_count(fan, k) == sections, (fan, k)
 
 
 def test_cohomology_reports_support():
