@@ -13,7 +13,9 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from functools import cached_property
+from math import gcd, lcm
+from operator import mul
 
 from . import errors, lattice
 
@@ -176,6 +178,43 @@ def weighted_sum_partial(d: ExtractionDatum, k) -> Fraction:
     return sum((Fraction(d.coefficients[i] * ki, d.orders[i])
                 for i, ki in enumerate(k)),
                Fraction(0))
+
+
+@dataclass(frozen=True)
+class DatumContext:
+    """The weight w of a datum in integer form, built once per computation.
+
+    With R = lcm(r_i) and c_i = a_i R / r_i, the integer W(k) = sum(c_i k_i)
+    equals R * w(k).  R > 0, so every window on w is the same window on W
+    with its bounds scaled by R: S = R * sigma and S_alpha = R * sigma_alpha.
+    One step of the exceptional exponent moves W by -C.
+    """
+
+    datum: ExtractionDatum
+    R: int
+    c: tuple[int, ...]      # c_1..c_{n+1}
+    S: int                  # R * sigma
+    S_alpha: int            # R * sigma_alpha
+    C: int                  # -c_{n+1} > 0, the exceptional exponent stride
+
+    def W(self, k) -> int:
+        """R * w(k) for an exponent vector of length <= n+1."""
+        if len(k) > len(self.c):
+            raise ValueError("exponent vector too long")
+        return sum(map(mul, self.c, k))
+
+    @cached_property
+    def tau(self) -> lattice.AbelianGroup:
+        """Z^alpha / L_tau (see :func:`torsod.sod.exceptional_lattice`)."""
+        return lattice.cokernel(relation_rows(self.datum, self.datum.alpha))
+
+
+def datum_context(d: ExtractionDatum) -> DatumContext:
+    """Integer weights of ``d``; the transfer lattice is found on first use."""
+    R = lcm(*d.orders)
+    c = tuple(a * (R // r) for a, r in zip(d.coefficients, d.orders))
+    return DatumContext(datum=d, R=R, c=c, S=sum(c),
+                        S_alpha=sum(c[:d.alpha]), C=-c[-1])
 
 
 def relation_rows(d: ExtractionDatum, count: int) -> list[list[int]]:

@@ -241,14 +241,18 @@ def _certified_box(fan: StackyFan, k) -> tuple[tuple[int, ...], tuple[int, ...]]
     3. Cohomology on a complete fan is finite, so such a face has an acyclic
        pattern: zero cohomology, zero Euler piece and no section (the empty
        pattern is not acyclic).
-    4. Bounded faces lie in the convex hull of the arrangement vertices.
+    4. Bounded faces lie in the convex hull of the arrangement vertices, and
+       a lattice point of that hull has each coordinate in [ceil(min),
+       floor(max)] of the vertex coordinates.
 
-    Completeness is checked first; an incomplete fan raises OracleBoxError.
+    When lo > hi in some coordinate, the hull holds no lattice point and the
+    empty scan is correct.  Completeness is checked first; an incomplete fan
+    raises OracleBoxError.
     """
     _require_complete(fan)
     verts = _arrangement_vertices(fan, k)
-    lo = tuple(min(floor(v[i]) for v in verts) for i in range(fan.rank))
-    hi = tuple(max(ceil(v[i]) for v in verts) for i in range(fan.rank))
+    lo = tuple(min(ceil(v[i]) for v in verts) for i in range(fan.rank))
+    hi = tuple(max(floor(v[i]) for v in verts) for i in range(fan.rank))
     return lo, hi
 
 

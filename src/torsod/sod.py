@@ -10,6 +10,14 @@ which is constant on divisor classes up to a known stride and controls three
 windows: spanning classes live where -sigma_alpha < w <= 0, block labels
 where 0 < w <= -sigma, and the two windows tile one full period of the
 exceptional exponent.
+
+The windows, witnesses and vanishing tests are computed on the integer
+W = R * w of a :class:`~torsod.extraction.DatumContext`, with R = lcm(r_i)
+and W(k) = sum(c_i * k_i), c_i = a_i * R / r_i.  R > 0, so each window keeps
+its shape with integer bounds S = R * sigma and S_alpha = R * sigma_alpha:
+spanning -S_alpha < W <= 0, blocks 0 < W <= -S.  One exceptional exponent
+step moves W by the stride C = -c_{n+1} > 0.  A ``Fraction(W, R)`` is built only for a
+stored ``w`` field or a report string.
 """
 
 from __future__ import annotations
@@ -17,15 +25,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import ceil, floor
 
 from . import errors, lattice
 from .extraction import (
+    DatumContext,
     ExtractionDatum,
     MorphismKind,
     classify,
+    datum_context,
     relation_rows,
-    sigma,
     sigma_alpha,
     validate,
     weighted_sum,
@@ -90,9 +98,18 @@ def fiber_transfer_vanishes(d: ExtractionDatum, k_local) -> bool:
     means no certificate from this test (the sharper lattice membership test
     lives with the block machinery).
     """
-    e = solved_exceptional_exponent(d, k_local)
-    divisible = e.denominator == 1 and e.numerator % d.orders[-1] == 0
-    return not divisible
+    if len(k_local) != d.n:
+        raise ValueError(f"local exponent vector must have length {d.n}")
+    return _vanishes(datum_context(d), k_local)
+
+
+def _vanishes(ctx: DatumContext, k_local) -> bool:
+    """:func:`fiber_transfer_vanishes` in integer form.
+
+    The solved exponent -W r_{n+1} / (a_{n+1} R) is an integer multiple of
+    r_{n+1} exactly when a_{n+1} R divides W = W(k_local).
+    """
+    return ctx.W(k_local) % (-ctx.datum.coefficients[-1] * ctx.R) != 0
 
 
 def exceptional_lattice(d: ExtractionDatum) -> lattice.AbelianGroup:
@@ -102,7 +119,7 @@ def exceptional_lattice(d: ExtractionDatum) -> lattice.AbelianGroup:
     label supported on the first alpha rays to be invertible rather than
     zero, so the quotient indexes the genuinely distinct transfers.
     """
-    return lattice.cokernel(relation_rows(d, d.alpha))
+    return datum_context(d).tau
 
 
 @dataclass(frozen=True)
@@ -127,24 +144,24 @@ def spanning_classes(d: ExtractionDatum) -> list[SpanningClass]:
     """
     validate(d)
     _require_extraction(d)
+    ctx = datum_context(d)
     group = class_group(d)
     if group.free_rank != 1:
         raise errors.DegenerateDatum(
             f"class group has free rank {group.free_rank}, expected 1")
     free = group.free_lifts()[0]
-    w_free = weighted_sum(d, free)
-    if w_free == 0:
+    W_free = ctx.W(free)
+    if W_free == 0:
         raise errors.DegenerateDatum("free generator has zero weighted sum")
     for lift, _ in group.torsion_lifts():
-        if weighted_sum(d, lift) != 0:
+        if ctx.W(lift) != 0:
             raise errors.DegenerateDatum("torsion lift has nonzero weighted sum")
 
-    sa = sigma_alpha(d)
-    # f * w_free must land in (-sigma_alpha, 0]
-    if w_free > 0:
-        f_lo, f_hi = floor(-sa / w_free) + 1, 0
+    # f * W_free must land in (-S_alpha, 0]
+    if W_free > 0:
+        f_lo, f_hi = -ctx.S_alpha // W_free + 1, 0
     else:
-        f_lo, f_hi = 0, ceil(sa / -w_free) - 1
+        f_lo, f_hi = 0, -(-ctx.S_alpha // -W_free) - 1
 
     out = []
     torsion = group.torsion_lifts()
@@ -155,10 +172,10 @@ def spanning_classes(d: ExtractionDatum) -> list[SpanningClass]:
                 for j in range(len(vec)):
                     vec[j] += c * lift[j]
             rep = group.reduce(vec)
-            w = weighted_sum(d, rep)
-            if w != f * w_free:
+            W = ctx.W(rep)
+            if W != f * W_free:
                 raise AssertionError("weighted sum is not class-invariant")
-            out.append(SpanningClass(label=rep, w=w))
+            out.append(SpanningClass(label=rep, w=Fraction(W, ctx.R)))
     out.sort(key=lambda s: (-s.w, s.label))
     return out
 
@@ -200,23 +217,20 @@ def _restricted_class_lattice(d: ExtractionDatum) -> lattice.AbelianGroup:
     return group
 
 
-def _block_witness(d: ExtractionDatum, w_alpha: Fraction):
-    """Unique integer k_{n+1} with 0 < w_alpha + (a_{n+1}/r_{n+1}) k <= -sigma.
+def _block_witness(ctx: DatumContext, W_alpha: int):
+    """Unique integer k_{n+1} with 0 < W_alpha - C k <= -S.
 
-    Returns (witness, w) or None when the class misses the block window; the
-    window is shorter than the exponent stride, so uniqueness is automatic.
+    Returns (witness, W) or None when the class misses the block window; the
+    window is shorter than the exponent stride C, so uniqueness is automatic.
     """
-    a_last, r_last = d.coefficients[-1], d.orders[-1]
-    s = sigma(d)
-    lo = Fraction(r_last, -a_last) * (s + w_alpha)   # inclusive
-    hi = Fraction(r_last, -a_last) * w_alpha         # exclusive
-    k = ceil(lo)
-    if k >= hi:
+    C = ctx.C
+    k = -(-(ctx.S + W_alpha) // C)   # ceil((S + W_alpha) / C), inclusive
+    if C * k >= W_alpha:             # k >= W_alpha / C, exclusive
         return None
-    w = w_alpha + Fraction(a_last * k, r_last)
-    if not (0 < w <= -s):
+    W = W_alpha - C * k
+    if not (0 < W <= -ctx.S):
         raise AssertionError("witness landed outside the block window")
-    return k, w
+    return k, W
 
 
 def block_labels(d: ExtractionDatum) -> list[BlockLabel]:
@@ -232,17 +246,16 @@ def block_labels(d: ExtractionDatum) -> list[BlockLabel]:
     """
     validate(d)
     _require_extraction(d)
-    n, alpha = d.n, d.alpha
+    alpha = d.alpha
+    ctx = datum_context(d)
     group = _restricted_class_lattice(d)
-    tau = exceptional_lattice(d)
-    s = sigma(d)
+    S = ctx.S
 
     # Preferred representatives: scan the bounded nonnegative box once.
-    bounds = [floor(-s * d.orders[i] / d.coefficients[i]) for i in range(alpha)]
+    bounds = [-S // ctx.c[i] for i in range(alpha)]
     preferred: dict[tuple[int, ...], tuple[int, ...]] = {}
     for cand in product(*(range(b + 1) for b in bounds)):
-        w_a = weighted_sum_partial(d, cand)
-        if not (0 < w_a <= -s):
+        if not (0 < ctx.W(cand) <= -S):
             continue
         key = group.reduce(cand)
         if key not in preferred or cand < preferred[key]:
@@ -250,37 +263,35 @@ def block_labels(d: ExtractionDatum) -> list[BlockLabel]:
 
     candidates = []
     for rep in group.classes():
-        w_a = weighted_sum_partial(d, rep)
-        hit = _block_witness(d, w_a)
-        if hit is None:
+        if _block_witness(ctx, ctx.W(rep)) is None:
             continue
         label = preferred.get(rep, rep)
-        witness, w = _block_witness(d, weighted_sum_partial(d, label))
-        candidates.append((w, label, witness))
+        witness, W = _block_witness(ctx, ctx.W(label))
+        candidates.append((W, label, witness))
     candidates.sort(key=lambda c: (c[0], c[1]))
 
     groups: list[list[tuple]] = []
-    for w, label, witness in candidates:
+    for W, label, witness in candidates:
         for g in groups:
-            gw, glabel, _ = g[0]
+            gW, glabel, _ = g[0]
             delta = tuple(x - y for x, y in zip(label, glabel))
-            if gw == w and tau.contains(delta):
-                g.append((w, label, witness))
+            if gW == W and ctx.tau.contains(delta):
+                g.append((W, label, witness))
                 break
         else:
-            groups.append([(w, label, witness)])
+            groups.append([(W, label, witness)])
 
     def rep_quality(item):
         _, lab, _ = item
-        nice = (all(x >= 0 for x in lab)
-                and 0 < weighted_sum_partial(d, lab) <= -s)
+        nice = all(x >= 0 for x in lab) and 0 < ctx.W(lab) <= -S
         return (0 if nice else 1, lab)
 
     blocks: list[BlockLabel] = []
     for g in groups:
         g.sort(key=rep_quality)
-        w, label, witness = g[0]
-        blocks.append(BlockLabel(label=label, witness=witness, w=w,
+        W, label, witness = g[0]
+        blocks.append(BlockLabel(label=label, witness=witness,
+                                 w=Fraction(W, ctx.R),
                                  aliases=tuple(lab for _, lab, _ in g[1:])))
     blocks.sort(key=lambda b: (b.w, b.label))
     return blocks
@@ -339,30 +350,29 @@ def fully_faithful_check(d: ExtractionDatum) -> FaithfulnessReport:
     checking all |span|^2 pairs.
     """
     _require_extraction(d)
-    sa = sigma_alpha(d)
-    stride = Fraction(-d.coefficients[-1], d.orders[-1])
-    head_ok = Fraction(d.coefficients[-1], d.orders[-1]) < -sa
+    ctx = datum_context(d)
+    Sa = ctx.S_alpha
+    head_ok = -ctx.C < -Sa
 
     spans = spanning_classes(d)
     q = max(spans, key=lambda c: c.w)
     p = min(spans, key=lambda c: c.w)
     delta = tuple(x - y for x, y in zip(p.label, q.label))
-    dw = weighted_sum(d, delta)
+    dW = ctx.W(delta)
     extremal = PairInequality(
         source=q.label,
         target=p.label,
-        delta_w=dw,
-        within_bounds=-sa < -dw < sa,
-        higher_vanishing=pushforward(d, delta).higher_vanishing,
+        delta_w=Fraction(dW, ctx.R),
+        within_bounds=-Sa < -dW < Sa,
+        higher_vanishing=dW > -Sa,
     )
 
     koszul = []
     alpha = d.alpha
     for mask in range(1, 1 << alpha):
         subset = tuple(i for i in range(alpha) if mask >> i & 1)
-        part = sum((Fraction(d.coefficients[i], d.orders[i]) for i in subset),
-                   Fraction(0))
-        koszul.append((subset, part, 0 < part < stride))
+        part = sum(ctx.c[i] for i in subset)
+        koszul.append((subset, Fraction(part, ctx.R), 0 < part < ctx.C))
 
     ok = (head_ok
           and extremal.within_bounds and extremal.higher_vanishing
@@ -401,6 +411,7 @@ def semiorthogonality_check(d: ExtractionDatum) -> SemiorthogonalityReport:
     """
     _require_extraction(d)
     n, alpha = d.n, d.alpha
+    ctx = datum_context(d)
     spans = spanning_classes(d)
     blocks = block_labels(d)
     entries: list[OrthogonalityEntry] = []
@@ -424,7 +435,7 @@ def semiorthogonality_check(d: ExtractionDatum) -> SemiorthogonalityReport:
                 kind="span-block",
                 source=l.label, target=b.label, corner=(),
                 label=base,
-                certified=fiber_transfer_vanishes(d, base),
+                certified=_vanishes(ctx, base),
                 reason="interval"))
 
     for b in blocks:
@@ -441,14 +452,14 @@ def semiorthogonality_check(d: ExtractionDatum) -> SemiorthogonalityReport:
                         kind="block-block",
                         source=b.label, target=c.label, corner=subset,
                         label=lab,
-                        certified=fiber_transfer_vanishes(d, lab),
+                        certified=_vanishes(ctx, lab),
                         reason="interval"))
             elif c.w == b.w:
                 entries.append(OrthogonalityEntry(
                     kind="equal-w",
                     source=b.label, target=c.label, corner=(),
                     label=base,
-                    certified=not transfer_is_invertible(d, base),
+                    certified=not ctx.tau.contains(base[:alpha]),
                     reason="lattice"))
                 for subset in corners(include_empty=False):
                     lab = shifted(base, subset)
@@ -456,7 +467,7 @@ def semiorthogonality_check(d: ExtractionDatum) -> SemiorthogonalityReport:
                         kind="equal-w",
                         source=b.label, target=c.label, corner=subset,
                         label=lab,
-                        certified=fiber_transfer_vanishes(d, lab),
+                        certified=_vanishes(ctx, lab),
                         reason="interval"))
 
     return SemiorthogonalityReport(
@@ -520,18 +531,16 @@ def _node_key(kind: str, label, witness: int) -> str:
     return f"{prefix}|{','.join(str(x) for x in label)}|{witness}"
 
 
-def _window_witness(d: ExtractionDatum, label) -> int:
-    """Unique integer exceptional exponent with w in (-sigma_alpha, -sigma].
+def _window_witness(ctx: DatumContext, label) -> int:
+    """Unique integer exceptional exponent with W in (-S_alpha, -S].
 
-    The window has length sigma_alpha - sigma = |a_{n+1}| / r_{n+1}, exactly
-    one exponent stride, so the integer always exists and is unique.
+    The window has length S_alpha - S = C, exactly one exponent stride, so
+    the integer always exists and is unique.
     """
-    a_last, r_last = d.coefficients[-1], d.orders[-1]
-    w_n = weighted_sum_partial(d, label)
-    lo = Fraction(r_last, -a_last) * (sigma(d) + w_n)
-    hi = Fraction(r_last, -a_last) * (sigma_alpha(d) + w_n)
-    k = ceil(lo)
-    if not (k < hi):
+    C = ctx.C
+    W_n = ctx.W(label)
+    k = -(-(ctx.S + W_n) // C)
+    if not (C * k < ctx.S_alpha + W_n):
         raise AssertionError("witness window miscomputed")
     return k
 
@@ -549,28 +558,30 @@ def generation_certificate(d: ExtractionDatum, targets,
     validate(d)
     _require_extraction(d)
     n, alpha = d.n, d.alpha
-    a_last, r_last = d.coefficients[-1], d.orders[-1]
-    sa, s = sigma_alpha(d), sigma(d)
+    ctx = datum_context(d)
+    R = ctx.R
     nodes: dict[str, CertificateNode] = {}
 
     def build(label, witness, depth):
         if depth > max_depth:
             raise errors.DepthExceeded(
                 f"generation recursion exceeded depth {max_depth}")
-        w = weighted_sum_partial(d, label) + Fraction(a_last * witness, r_last)
-        if w <= 0:
+        W = ctx.W(label) - ctx.C * witness
+        if W <= 0:
             key = _node_key("span", label, witness)
             if key not in nodes:
-                if not (-sa < w):
+                if not (-ctx.S_alpha < W):
                     raise AssertionError("spanning leaf outside its window")
                 nodes[key] = CertificateNode(
-                    key=key, label=label, witness=witness, w=w, kind="span")
+                    key=key, label=label, witness=witness, w=Fraction(W, R),
+                    kind="span")
             return key
         key = _node_key("koszul", label, witness)
         if key in nodes:
             return key
-        if not (w <= -s):
+        if not (W <= -ctx.S):
             raise AssertionError("koszul node outside its window")
+        w = Fraction(W, R)
         # Reserve the key before recursing; children never revisit the parent
         # because their coordinate sum is strictly smaller.
         children = []
@@ -591,7 +602,7 @@ def generation_certificate(d: ExtractionDatum, targets,
         label = tuple(int(x) for x in target)
         if len(label) != n:
             raise ValueError(f"target label must have length {n}")
-        witness = _window_witness(d, label)
+        witness = _window_witness(ctx, label)
         roots.append((label, build(label, witness, 0)))
     ordered = tuple(sorted(nodes.values(), key=lambda nd: nd.key))
     return GenerationCertificate(targets=tuple(roots), nodes=ordered)
@@ -616,8 +627,8 @@ def verify_certificate(d: ExtractionDatum,
     validate(d)
     _require_extraction(d)
     n, alpha = d.n, d.alpha
-    a_last, r_last = d.coefficients[-1], d.orders[-1]
-    sa, s = sigma_alpha(d), sigma(d)
+    ctx = datum_context(d)
+    R, Sa, S = ctx.R, ctx.S_alpha, ctx.S
     violations: list[tuple[str, str, str]] = []
     node_map: dict[str, CertificateNode] = {}
     for node in cert.nodes:
@@ -626,32 +637,34 @@ def verify_certificate(d: ExtractionDatum,
         node_map[node.key] = node
 
     def wval(node):
-        return (weighted_sum_partial(d, node.label)
-                + Fraction(a_last * node.witness, r_last))
+        return ctx.W(node.label) - ctx.C * node.witness
 
     for node in cert.nodes:
         if len(node.label) != n:
             violations.append(("BAD_LABEL", node.key, "label length"))
             continue
-        w = wval(node)
-        if w != node.w:
+        W = wval(node)
+        if W * node.w.denominator != node.w.numerator * R:
             violations.append(("W_MISMATCH", node.key,
-                               f"recomputed {w}, stored {node.w}"))
+                               f"recomputed {Fraction(W, R)}, stored {node.w}"))
         if node.kind == "span":
-            if not (-sa < w <= 0):
-                violations.append(("LEAF_WINDOW", node.key, f"w = {w}"))
+            if not (-Sa < W <= 0):
+                violations.append(("LEAF_WINDOW", node.key,
+                                   f"w = {Fraction(W, R)}"))
             if node.children or node.block_key:
                 violations.append(("LEAF_CHILDREN", node.key,
                                    "spanning leaf has children"))
         elif node.kind == "block":
-            if not (0 < w <= -s):
-                violations.append(("LEAF_WINDOW", node.key, f"w = {w}"))
+            if not (0 < W <= -S):
+                violations.append(("LEAF_WINDOW", node.key,
+                                   f"w = {Fraction(W, R)}"))
             if node.children or node.block_key:
                 violations.append(("LEAF_CHILDREN", node.key,
                                    "block leaf has children"))
         elif node.kind == "koszul":
-            if not (0 < w <= -s):
-                violations.append(("NODE_WINDOW", node.key, f"w = {w}"))
+            if not (0 < W <= -S):
+                violations.append(("NODE_WINDOW", node.key,
+                                   f"w = {Fraction(W, R)}"))
             expected = []
             for mask in range(1, 1 << alpha):
                 child = tuple(node.label[i] - (mask >> i & 1)
@@ -689,9 +702,12 @@ def verify_certificate(d: ExtractionDatum,
         if root.label != tuple(label):
             violations.append(("TARGET_LABEL", root_key,
                                f"root label {root.label} != target {label}"))
-        w = wval(root)
-        if not (-sa < w <= -s):
-            violations.append(("WITNESS_WINDOW", root_key, f"w = {w}"))
+        if len(root.label) != n:
+            continue   # BAD_LABEL is already reported for this node
+        W = wval(root)
+        if not (-Sa < W <= -S):
+            violations.append(("WITNESS_WINDOW", root_key,
+                               f"w = {Fraction(W, R)}"))
 
     # Cycle detection over the child/block edges.
     WHITE, GREY, BLACK = 0, 1, 2

@@ -39,3 +39,15 @@ def twist_datum():
         (1, 1, 0, -2),
         (2, 2, 1, 1),
     )
+
+
+@pytest.fixture(scope="session")
+def stress_datum():
+    # The 5-ray fuzz datum that the benchmark runs through `sod --box 6`:
+    # 756 spanning classes, 54 blocks, a fiber class group of order 6.
+    return make_datum(
+        ((1, 0, 0, 0), (-1, 1, 0, 0), (-1, 2, 1, 0), (0, 1, 1, 1),
+         (-2, 5, 2, 0)),
+        (1, 1, 2, 0, -1),
+        (6, 5, 6, 6, 1),
+    )

@@ -5,8 +5,10 @@ as plain functions lets other tests reuse the same properties at a smaller
 budget without duplicating the strategies.
 """
 
-from math import gcd
+from fractions import Fraction
+from math import ceil, gcd
 
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from torsod import (
@@ -15,9 +17,12 @@ from torsod import (
     make_datum,
     sigma,
     sigma_alpha,
+    solved_exceptional_exponent,
     verify_certificate,
     weighted_sum,
+    weighted_sum_partial,
 )
+from torsod.extraction import datum_context
 from torsod.lattice import (
     cokernel,
     determinant,
@@ -28,6 +33,7 @@ from torsod.lattice import (
     smith_normal_form_full,
 )
 from torsod.serialize import certificate_from_obj, certificate_to_obj
+from torsod.sod import _vanishes, _window_witness
 
 
 def _settings(max_examples):
@@ -152,8 +158,32 @@ def _valid_datums(draw):
     return make_datum(rays + (ve,), coefficients, orders)
 
 
+def ref_window_witness(d, label):
+    """Reference: the exceptional exponent putting w in (-sigma_alpha, -sigma].
+
+    Rational arithmetic throughout, to check the integer ``_window_witness``.
+    """
+    a_last, r_last = d.coefficients[-1], d.orders[-1]
+    w_n = weighted_sum_partial(d, label)
+    lo = Fraction(r_last, -a_last) * (sigma(d) + w_n)
+    hi = Fraction(r_last, -a_last) * (sigma_alpha(d) + w_n)
+    k = ceil(lo)
+    assert k < hi
+    return k
+
+
+def ref_vanishes(d, k_local):
+    """Reference: the solved exceptional exponent is not in r_{n+1} Z."""
+    e = solved_exceptional_exponent(d, k_local)
+    return not (e.denominator == 1 and e.numerator % d.orders[-1] == 0)
+
+
 def run_weighted_sum_properties(max_examples):
-    """w is linear, kills the relation, and sums to sigma on the all-ones."""
+    """w is linear, kills the relation, and sums to sigma on the all-ones.
+
+    The integer form W = R * w of the datum context agrees with it, and the
+    integer witness and vanishing test agree with their rational references.
+    """
 
     @_settings(max_examples)
     @given(data=st.data())
@@ -174,6 +204,16 @@ def run_weighted_sum_properties(max_examples):
         rel = [d.orders[i] * sum(mm * vv for mm, vv in zip(mvec, d.rays[i]))
                for i in range(m)]
         assert weighted_sum(d, rel) == 0
+
+        ctx = datum_context(d)
+        assert ctx.W(x) == ctx.R * wx
+        assert ctx.S == ctx.R * sigma(d)
+        assert ctx.S_alpha == ctx.R * sigma_alpha(d)
+        with pytest.raises(ValueError):
+            ctx.W(x + [0])
+        label = tuple(y[:d.n])
+        assert _window_witness(ctx, label) == ref_window_witness(d, label)
+        assert _vanishes(ctx, label) == ref_vanishes(d, label)
 
     check()
 

@@ -62,6 +62,20 @@ def test_classify_datum_file(tmp_path, capsys):
     assert "Extraction" in out and "sigma = -2" in out
 
 
+def test_sod_datum_file(tmp_path, capsys, stress_datum):
+    path = tmp_path / "stress.json"
+    path.write_bytes(canonical_json_bytes(datum_to_obj(stress_datum)))
+    out = tmp_path / "report.json"
+    code, _, _ = run(["sod", str(path), "--box", "1", "--json", str(out)],
+                     capsys)
+    assert code == 0
+    checks = {c["name"]: c for c in json.loads(out.read_bytes())["checks"]}
+    assert len(checks["spanning-classes"]["rows"]) == 756
+    assert len(checks["block-labels"]["rows"]) == 54
+    (identity,) = checks["count-identity"]["rows"]
+    assert identity["lhs"] == identity["rhs"] == 1080
+
+
 def test_sod_reports_are_deterministic(tmp_path, capsys):
     j1, j2 = tmp_path / "a.json", tmp_path / "b.json"
     m1 = tmp_path / "a.md"

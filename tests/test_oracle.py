@@ -217,6 +217,12 @@ def test_vertex_box_misses_nothing():
             assert section_count(fan, k) == sections, (fan, k)
 
 
+def test_vertex_box_is_tight():
+    # stacky-p1's vertices for this label are -1/2 and 0: only m = 0 is a
+    # lattice point of their hull, so the box is the single character 0.
+    assert _certified_box(canned_fan("stacky-p1"), (1, 0)) == ((0,), (0,))
+
+
 def test_cohomology_reports_support():
     p1 = canned_fan("p1")
     vec = cohomology(p1, (2, 0))

@@ -5,6 +5,7 @@ from itertools import product
 import pytest
 
 import torsod.sod as sod_module
+from props import ref_vanishes, ref_window_witness
 from torsod import (
     GenerationCertificate,
     SpanningClass,
@@ -20,12 +21,14 @@ from torsod import (
     in_spanning_window,
     pushforward,
     semiorthogonality_check,
+    sigma,
     sigma_alpha,
     solved_exceptional_exponent,
     spanning_classes,
     transfer_is_invertible,
     verify_certificate,
     weighted_sum,
+    weighted_sum_partial,
 )
 from torsod.errors import RequiresExtraction
 
@@ -239,6 +242,48 @@ def test_semiorthogonality_uses_lattice_reason(twist_datum):
     assert all(e.kind == "equal-w" for e in lattice_entries)
 
 
+def _check_against_fraction_reference(d, box):
+    """Integer windows, witnesses and vanishing tests vs the rational ones."""
+    sa, s = sigma_alpha(d), sigma(d)
+    a_last, r_last = d.coefficients[-1], d.orders[-1]
+
+    for c in spanning_classes(d):
+        assert c.w == weighted_sum(d, c.label) and -sa < c.w <= 0
+    for b in block_labels(d):
+        assert b.w == (weighted_sum_partial(d, b.label)
+                       + Fraction(a_last * b.witness, r_last))
+        assert 0 < b.w <= -s
+
+    expected = {}
+    for e in semiorthogonality_check(d).entries:
+        key = (e.reason, e.label)
+        if key not in expected:
+            expected[key] = (ref_vanishes(d, e.label) if e.reason == "interval"
+                             else not transfer_is_invertible(d, e.label))
+        assert e.certified == expected[key], e
+
+    targets = list(product(range(-box, box + 1), repeat=d.n))
+    cert = generation_certificate(d, targets)
+    for node in cert.nodes:
+        w = (weighted_sum_partial(d, node.label)
+             + Fraction(a_last * node.witness, r_last))
+        assert node.w == w, node.key
+        # every node's w lies in the one-stride window (-sigma_alpha, -sigma]
+        assert node.witness == ref_window_witness(d, node.label), node.key
+        if node.kind == "span":
+            assert -sa < w <= 0, node.key
+        else:
+            assert 0 < w <= -s, node.key
+    return len(cert.nodes)
+
+
+def test_integer_path_matches_fraction_reference(extraction_pairs,
+                                                 twist_datum, stress_datum):
+    for d in [pair.datum for pair in extraction_pairs] + [twist_datum]:
+        assert _check_against_fraction_reference(d, 3)
+    assert _check_against_fraction_reference(stress_datum, 2)
+
+
 # ---------------------------------------------------------------------------
 # Generation certificates
 
@@ -296,6 +341,17 @@ def test_verify_rejects_bad_label(a1_half):
     cert = small_cert(a1_half)
     bad = swap_node(cert, "L|0,0|0", label=(0, 0, 0))
     assert "BAD_LABEL" in codes_of(a1_half.datum, bad)
+
+
+def test_verify_rejects_bad_root_label(a1_half):
+    # The witness window of a root is only defined for a length-n label; a
+    # longer root label is reported, never evaluated.
+    d = a1_half.datum
+    cert = generation_certificate(d, [(0, 0)])
+    for label in ((0, 0, 0), (0, 0, 0, 0)):
+        codes = codes_of(d, swap_node(cert, "L|0,0|0", label=label))
+        assert {"BAD_LABEL", "TARGET_LABEL"} <= codes
+        assert "WITNESS_WINDOW" not in codes
 
 
 def test_verify_rejects_w_mismatch(a1_half):
