@@ -110,12 +110,13 @@ from .sod import (
     BlockLabel,
     CertificateNode,
     CertificateVerification,
+    Decomposition,
     GenerationCertificate,
     PushforwardFormula,
     SpanningClass,
     block_labels,
     class_group,
-    exceptional_lattice,
+    decompose,
     extend_block_label,
     fiber_transfer_vanishes,
     fully_faithful_check,

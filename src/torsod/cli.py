@@ -121,34 +121,33 @@ def cmd_sod(args) -> int:
         rows=({"kind": cls.kind.value,
                "sigma": serialize.fraction_str(cls.sigma)},)))
 
-    spans = sod.spanning_classes(datum)
+    dec = sod.decompose(datum)
     checks.append(report.Check(
         name="spanning-classes", ok=True,
-        summary=f"{len(spans)} classes in the spanning window",
+        summary=f"{len(dec.spans)} classes in the spanning window",
         rows=tuple({"label": _fmt_label(s.label),
-                    "w": serialize.fraction_str(s.w)} for s in spans)))
+                    "w": serialize.fraction_str(s.w)} for s in dec.spans)))
 
-    blocks = sod.block_labels(datum)
     checks.append(report.Check(
         name="block-labels", ok=True,
-        summary=f"{len(blocks)} fiber blocks",
+        summary=f"{len(dec.blocks)} fiber blocks",
         rows=tuple({"label": _fmt_label(b.label),
                     "witness": b.witness,
                     "w": serialize.fraction_str(b.w),
                     "aliases": [_fmt_label(a) for a in b.aliases]}
-                   for b in blocks)))
+                   for b in dec.blocks)))
 
-    lhs, rhs, parts = sod.generator_count_identity(datum)
+    lhs, rhs, parts = sod.generator_count_identity(dec)
     checks.append(report.Check(
         name="count-identity", ok=lhs == rhs,
         summary=f"|Cl_local| = {lhs} vs {parts['spanning']} + "
                 f"{parts['blocks']} * {parts['fiber_order']} = {rhs}",
         rows=({"lhs": lhs, "rhs": rhs, **parts},)))
 
-    faithful = sod.fully_faithful_check(datum)
+    faithful = sod.fully_faithful_check(dec)
     checks.append(report.Check(
         name="fully-faithful", ok=faithful.ok,
-        summary=f"{len(spans)} classes, extremal delta_w = "
+        summary=f"{len(dec.spans)} classes, extremal delta_w = "
                 f"{serialize.fraction_str(faithful.pairs[0].delta_w)}, "
                 f"{len(faithful.koszul)} Koszul corners",
         rows=tuple({"source": _fmt_label(p.source),
@@ -159,7 +158,7 @@ def cmd_sod(args) -> int:
                    for p in faithful.pairs if not
                    (p.within_bounds and p.higher_vanishing))))
 
-    ortho = sod.semiorthogonality_check(datum)
+    ortho = sod.semiorthogonality_check(dec)
     checks.append(report.Check(
         name="semiorthogonality", ok=ortho.ok,
         summary=f"{len(ortho.entries)} vanishing certificates",
@@ -237,12 +236,13 @@ def cmd_oracle(args) -> int:
                         "decomposition to verify",
                 rows=()))
         elif args.verify_sod:
+            dec = sod.decompose(datum)
             checks.append(_cross_check_to_check(
-                models.fully_faithful_oracle_check(pair)))
+                models.fully_faithful_oracle_check(pair, dec)))
             checks.append(_cross_check_to_check(
-                models.semiorthogonality_oracle_check(pair, fiber)))
+                models.semiorthogonality_oracle_check(pair, dec, fiber)))
             checks.append(_cross_check_to_check(
-                models.transfer_dichotomy_check(pair, bound, fiber)))
+                models.transfer_dichotomy_check(pair, dec, bound, fiber)))
             targets = [head + (0,) * (datum.n - datum.alpha)
                        for head in product(range(-bound, bound + 1),
                                            repeat=datum.alpha)]
@@ -256,7 +256,7 @@ def cmd_oracle(args) -> int:
                            for c, k, t in verdict.violations)))
             checks.append(_cross_check_to_check(replay))
             checks.append(_cross_check_to_check(
-                models.count_identity_check(pair)))
+                models.count_identity_check(dec)))
 
     command = f"oracle {name} --box {bound}"
     if args.verify_sod:

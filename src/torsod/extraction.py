@@ -205,7 +205,7 @@ class DatumContext:
 
     @cached_property
     def tau(self) -> lattice.AbelianGroup:
-        """Z^alpha / L_tau (see :func:`torsod.sod.exceptional_lattice`)."""
+        """Z^alpha modulo L_tau = {(r_i <m, v_i>)_{i <= alpha} : m in M}."""
         return lattice.cokernel(relation_rows(self.datum, self.datum.alpha))
 
 

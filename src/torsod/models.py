@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from math import gcd, lcm
 
 from . import errors, lattice, oracle, serialize, sod
@@ -452,15 +453,13 @@ def _koszul_corner_sum(pair: ModelPair, label) -> int:
 
 
 def koszul_replay_check(pair: ModelPair, cert: sod.GenerationCertificate,
-                        fiber: FiberModel | None = None) -> CrossCheck:
+                        fiber: FiberModel) -> CrossCheck:
     """Replay every Koszul node of a certificate against the oracle.
 
     The alternating sum of target-side Euler characteristics over the corner
     labels must equal the Euler characteristic of the block sheaf the node
     claims to produce.
     """
-    if fiber is None:
-        fiber = fiber_model(pair)
     failures = []
     total = 0
     for node in cert.nodes:
@@ -475,7 +474,8 @@ def koszul_replay_check(pair: ModelPair, cert: sod.GenerationCertificate,
                       failures=tuple(failures))
 
 
-def fully_faithful_oracle_check(pair: ModelPair) -> CrossCheck:
+def fully_faithful_oracle_check(pair: ModelPair,
+                                dec: sod.Decomposition) -> CrossCheck:
     """Source-vs-target cohomology agreement on all spanning differences.
 
     For every ordered pair of spanning classes the Hom dims upstairs (source
@@ -483,11 +483,10 @@ def fully_faithful_oracle_check(pair: ModelPair) -> CrossCheck:
     fan, truncated difference).
     """
     d = pair.datum
-    spans = sod.spanning_classes(d)
     failures = []
     total = 0
-    for p in spans:
-        for q in spans:
+    for p in dec.spans:
+        for q in dec.spans:
             delta = tuple(a - b for a, b in zip(p.label, q.label))
             hx = oracle.cohomology(pair.fan_x, x_label(pair, delta)).dims
             hy = oracle.cohomology(pair.fan_y,
@@ -499,18 +498,16 @@ def fully_faithful_oracle_check(pair: ModelPair) -> CrossCheck:
                       total=total, failures=tuple(failures))
 
 
-def semiorthogonality_oracle_check(pair: ModelPair,
-                                   fiber: FiberModel | None = None) -> CrossCheck:
+def semiorthogonality_oracle_check(pair: ModelPair, dec: sod.Decomposition,
+                                   fiber: FiberModel) -> CrossCheck:
     """Verify every claimed Hom-vanishing through the fiber transfer.
 
     Each orthogonality entry provides a local label whose transfer must be
     the zero sheaf (or at least have no cohomology in any degree); block
     self-Homs must come out one-dimensional in degree zero.
     """
-    if fiber is None:
-        fiber = fiber_model(pair)
     d = pair.datum
-    report = sod.semiorthogonality_check(d)
+    report = sod.semiorthogonality_check(dec)
     failures = []
     total = 0
     for entry in report.entries:
@@ -524,9 +521,8 @@ def semiorthogonality_oracle_check(pair: ModelPair,
                 f"{entry.kind} {entry.source}->{entry.target} corner "
                 f"{entry.corner}: transfer {transferred} has dims {dims}")
 
-    blocks = sod.block_labels(d)
     expected = (1,) + (0,) * fiber.fan.rank
-    for b in blocks:
+    for b in dec.blocks:
         total += 1
         dims = [0] * (fiber.fan.rank + 1)
         ok = True
@@ -552,8 +548,8 @@ def semiorthogonality_oracle_check(pair: ModelPair,
                       total=total, failures=tuple(failures))
 
 
-def transfer_dichotomy_check(pair: ModelPair, bound: int,
-                             fiber: FiberModel | None = None) -> CrossCheck:
+def transfer_dichotomy_check(pair: ModelPair, dec: sod.Decomposition,
+                             bound: int, fiber: FiberModel) -> CrossCheck:
     """Compare both vanishing tests against the oracle over a label box.
 
     For every local label supported on the first alpha rays inside
@@ -563,19 +559,15 @@ def transfer_dichotomy_check(pair: ModelPair, bound: int,
     the oracle verdict is the alternating Euler sum, which equals the Euler
     characteristic of the transferred sheaf.
     """
-    from itertools import product as _product
-
-    if fiber is None:
-        fiber = fiber_model(pair)
     d = pair.datum
     failures = []
     total = 0
-    for head in _product(range(-bound, bound + 1), repeat=d.alpha):
+    for head in product(range(-bound, bound + 1), repeat=d.alpha):
         label = tuple(head) + (0,) * (d.n - d.alpha)
         total += 1
         corner_sum = _koszul_corner_sum(pair, label)
-        certified = sod.fiber_transfer_vanishes(d, label)
-        invertible = sod.transfer_is_invertible(d, label)
+        certified = sod.fiber_transfer_vanishes(dec.ctx, label)
+        invertible = sod.transfer_is_invertible(dec.ctx, label)
         if certified and corner_sum != 0:
             failures.append(
                 f"label {label}: certified vanishing but corner sum "
@@ -594,9 +586,9 @@ def transfer_dichotomy_check(pair: ModelPair, bound: int,
                       failures=tuple(failures))
 
 
-def count_identity_check(pair: ModelPair) -> CrossCheck:
+def count_identity_check(dec: sod.Decomposition) -> CrossCheck:
     """Local generator bookkeeping: |Cl| = #spanning + #blocks * |Cl_fiber|."""
-    lhs, rhs, parts = sod.generator_count_identity(pair.datum)
+    lhs, rhs, parts = sod.generator_count_identity(dec)
     ok = lhs == rhs
     failure = () if ok else (f"lhs {lhs} != rhs {rhs} ({parts})",)
     return CrossCheck(name="count-identity", ok=ok, total=1, failures=failure)

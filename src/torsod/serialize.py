@@ -208,5 +208,5 @@ def load_json(path: str):
         data = fh.read()
     try:
         return json.loads(data), data
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise errors.SchemaError(f"{path}: invalid JSON ({exc})") from None

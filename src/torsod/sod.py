@@ -18,6 +18,10 @@ its shape with integer bounds S = R * sigma and S_alpha = R * sigma_alpha:
 spanning -S_alpha < W <= 0, blocks 0 < W <= -S.  One exceptional exponent
 step moves W by the stride C = -c_{n+1} > 0.  A ``Fraction(W, R)`` is built only for a
 stored ``w`` field or a report string.
+
+:func:`decompose` is the one validated entry point: it enumerates the
+spanning classes and blocks once, and the checks read its
+:class:`Decomposition`.
 """
 
 from __future__ import annotations
@@ -33,6 +37,7 @@ from .extraction import (
     MorphismKind,
     classify,
     datum_context,
+    induced_fibration,
     relation_rows,
     sigma_alpha,
     validate,
@@ -41,12 +46,15 @@ from .extraction import (
 )
 
 
-def _require_extraction(d: ExtractionDatum) -> None:
+def _extraction_context(d: ExtractionDatum) -> DatumContext:
+    """Validate ``d``, refuse anything but an extraction, build its context."""
+    validate(d)
     cls = classify(d)
     if cls.kind is not MorphismKind.EXTRACTION:
         raise errors.RequiresExtraction(
             f"datum classifies as {cls.kind.value} (sigma = {cls.sigma}); "
             "decomposition enumeration needs sigma < 0")
+    return datum_context(d)
 
 
 def in_spanning_window(d: ExtractionDatum, k) -> bool:
@@ -90,36 +98,27 @@ def solved_exceptional_exponent(d: ExtractionDatum, k_local) -> Fraction:
     return -Fraction(r_last, a_last) * weighted_sum_partial(d, k_local)
 
 
-def fiber_transfer_vanishes(d: ExtractionDatum, k_local) -> bool:
+def fiber_transfer_vanishes(ctx: DatumContext, k_local) -> bool:
     """Divisibility certificate that the transfer to the fiber side is zero.
 
     The transfer can only be nonzero when the solved exceptional exponent is
     an integer multiple of r_{n+1}.  True means certified vanishing; False
     means no certificate from this test (the sharper lattice membership test
-    lives with the block machinery).
+    is :func:`transfer_is_invertible`).
     """
-    if len(k_local) != d.n:
-        raise ValueError(f"local exponent vector must have length {d.n}")
-    return _vanishes(datum_context(d), k_local)
+    n = ctx.datum.n
+    if len(k_local) != n:
+        raise ValueError(f"local exponent vector must have length {n}")
+    return _vanishes(ctx, k_local)
 
 
 def _vanishes(ctx: DatumContext, k_local) -> bool:
-    """:func:`fiber_transfer_vanishes` in integer form.
+    """:func:`fiber_transfer_vanishes` without the length check.
 
     The solved exponent -W r_{n+1} / (a_{n+1} R) is an integer multiple of
     r_{n+1} exactly when a_{n+1} R divides W = W(k_local).
     """
     return ctx.W(k_local) % (-ctx.datum.coefficients[-1] * ctx.R) != 0
-
-
-def exceptional_lattice(d: ExtractionDatum) -> lattice.AbelianGroup:
-    """Z^alpha modulo L_tau = {(r_i <m, v_i>)_{i <= alpha} : m in M}.
-
-    Membership in L_tau is the exact criterion for the fiber transfer of a
-    label supported on the first alpha rays to be invertible rather than
-    zero, so the quotient indexes the genuinely distinct transfers.
-    """
-    return datum_context(d).tau
 
 
 @dataclass(frozen=True)
@@ -135,17 +134,14 @@ def class_group(d: ExtractionDatum) -> lattice.AbelianGroup:
     return lattice.cokernel(relation_rows(d, d.n + 1))
 
 
-def spanning_classes(d: ExtractionDatum) -> list[SpanningClass]:
+def spanning_classes(ctx: DatumContext) -> list[SpanningClass]:
     """All divisor classes with -sigma_alpha < w <= 0, canonically represented.
 
     w descends to the class group because it kills the relation lattice, is
     zero on torsion, and is nonzero on the rank-one free part; that makes the
     window a finite, explicitly enumerable set of classes.
     """
-    validate(d)
-    _require_extraction(d)
-    ctx = datum_context(d)
-    group = class_group(d)
+    group = class_group(ctx.datum)
     if group.free_rank != 1:
         raise errors.DegenerateDatum(
             f"class group has free rank {group.free_rank}, expected 1")
@@ -233,7 +229,7 @@ def _block_witness(ctx: DatumContext, W_alpha: int):
     return k, W
 
 
-def block_labels(d: ExtractionDatum) -> list[BlockLabel]:
+def block_labels(ctx: DatumContext) -> list[BlockLabel]:
     """Enumerate the fiber blocks of the decomposition.
 
     Restricted classes (Z^alpha mod L_res) that admit an integer witness are
@@ -244,11 +240,8 @@ def block_labels(d: ExtractionDatum) -> list[BlockLabel]:
     already in the window (witness 0), which always lives in the finite box
     k_i <= -sigma * r_i / a_i when it exists at all.
     """
-    validate(d)
-    _require_extraction(d)
-    alpha = d.alpha
-    ctx = datum_context(d)
-    group = _restricted_class_lattice(d)
+    alpha = ctx.datum.alpha
+    group = _restricted_class_lattice(ctx.datum)
     S = ctx.S
 
     # Preferred representatives: scan the bounded nonnegative box once.
@@ -302,16 +295,33 @@ def extend_block_label(d: ExtractionDatum, label) -> tuple[int, ...]:
     return tuple(label) + (0,) * (d.n - d.alpha)
 
 
-def transfer_is_invertible(d: ExtractionDatum, k_local) -> bool:
+def transfer_is_invertible(ctx: DatumContext, k_local) -> bool:
     """Exact dichotomy: the fiber transfer of k_local is invertible or zero.
 
     Invertible exactly when the first-alpha part is congruent to a monomial
     twist, i.e. lies in L_tau; the exponents past alpha do not interfere with
     the criterion because their divisors miss the fiber locus.
     """
+    d = ctx.datum
     if len(k_local) != d.n:
         raise ValueError(f"local exponent vector must have length {d.n}")
-    return exceptional_lattice(d).contains(k_local[:d.alpha])
+    return ctx.tau.contains(k_local[:d.alpha])
+
+
+@dataclass(frozen=True)
+class Decomposition:
+    """The spanning classes and fiber blocks of one datum, enumerated once."""
+
+    ctx: DatumContext
+    spans: tuple[SpanningClass, ...]
+    blocks: tuple[BlockLabel, ...]
+
+
+def decompose(d: ExtractionDatum) -> Decomposition:
+    """Validate an extraction datum and enumerate its collection once."""
+    ctx = _extraction_context(d)
+    return Decomposition(ctx=ctx, spans=tuple(spanning_classes(ctx)),
+                         blocks=tuple(block_labels(ctx)))
 
 
 @dataclass(frozen=True)
@@ -333,7 +343,7 @@ class FaithfulnessReport:
     koszul: tuple[tuple[tuple[int, ...], Fraction, bool], ...]
 
 
-def fully_faithful_check(d: ExtractionDatum) -> FaithfulnessReport:
+def fully_faithful_check(dec: Decomposition) -> FaithfulnessReport:
     """Inequality certificates that comparison on spanning pairs is bijective.
 
     For every ordered pair of spanning classes the difference must sit
@@ -349,14 +359,12 @@ def fully_faithful_check(d: ExtractionDatum) -> FaithfulnessReport:
     so ``pairs`` holds that one extremal pair and the verdict is the same as
     checking all |span|^2 pairs.
     """
-    _require_extraction(d)
-    ctx = datum_context(d)
+    ctx = dec.ctx
     Sa = ctx.S_alpha
     head_ok = -ctx.C < -Sa
 
-    spans = spanning_classes(d)
-    q = max(spans, key=lambda c: c.w)
-    p = min(spans, key=lambda c: c.w)
+    q = max(dec.spans, key=lambda c: c.w)
+    p = min(dec.spans, key=lambda c: c.w)
     delta = tuple(x - y for x, y in zip(p.label, q.label))
     dW = ctx.W(delta)
     extremal = PairInequality(
@@ -368,7 +376,7 @@ def fully_faithful_check(d: ExtractionDatum) -> FaithfulnessReport:
     )
 
     koszul = []
-    alpha = d.alpha
+    alpha = ctx.datum.alpha
     for mask in range(1, 1 << alpha):
         subset = tuple(i for i in range(alpha) if mask >> i & 1)
         part = sum(ctx.c[i] for i in subset)
@@ -400,7 +408,7 @@ class SemiorthogonalityReport:
     entries: tuple[OrthogonalityEntry, ...]
 
 
-def semiorthogonality_check(d: ExtractionDatum) -> SemiorthogonalityReport:
+def semiorthogonality_check(dec: Decomposition) -> SemiorthogonalityReport:
     """Certify every Hom-vanishing the decomposition asserts.
 
     Three families: spanning classes against blocks (all degrees), ordered
@@ -409,11 +417,9 @@ def semiorthogonality_check(d: ExtractionDatum) -> SemiorthogonalityReport:
     strictly between consecutive integers; the remaining equal-w corner uses
     exact non-membership in the transfer lattice.
     """
-    _require_extraction(d)
+    ctx = dec.ctx
+    d = ctx.datum
     n, alpha = d.n, d.alpha
-    ctx = datum_context(d)
-    spans = spanning_classes(d)
-    blocks = block_labels(d)
     entries: list[OrthogonalityEntry] = []
 
     def corners(include_empty):
@@ -427,8 +433,8 @@ def semiorthogonality_check(d: ExtractionDatum) -> SemiorthogonalityReport:
             out[i] -= 1
         return tuple(out)
 
-    for l in spans:
-        for b in blocks:
+    for l in dec.spans:
+        for b in dec.blocks:
             base = tuple(x - y for x, y in
                          zip(l.label[:n], extend_block_label(d, b.label)))
             entries.append(OrthogonalityEntry(
@@ -438,8 +444,8 @@ def semiorthogonality_check(d: ExtractionDatum) -> SemiorthogonalityReport:
                 certified=_vanishes(ctx, base),
                 reason="interval"))
 
-    for b in blocks:
-        for c in blocks:
+    for b in dec.blocks:
+        for c in dec.blocks:
             if b is c:
                 continue
             base = tuple(x - y for x, y in
@@ -474,16 +480,14 @@ def semiorthogonality_check(d: ExtractionDatum) -> SemiorthogonalityReport:
         ok=all(e.certified for e in entries), entries=tuple(entries))
 
 
-def generator_count_identity(d: ExtractionDatum):
+def generator_count_identity(dec: Decomposition):
     """K-theoretic bookkeeping: |Cl_local| = #spanning + #blocks * |Cl_fiber|.
 
     The left side is the order of the local class group of the base cone,
     |det(r_i v_i)| over i <= n; each block contributes the order of the local
     fiber class group.  Returns (lhs, rhs, parts) for reporting.
     """
-    from .extraction import induced_fibration  # local import, heavier check
-
-    _require_extraction(d)
+    d = dec.ctx.datum
     n, alpha = d.n, d.alpha
     lhs = abs(lattice.determinant(relation_rows(d, n)))
     fib = induced_fibration(d)
@@ -493,8 +497,7 @@ def generator_count_identity(d: ExtractionDatum):
         rows = [[d.orders[i] * fib.s[i - alpha] * fib.t[i] * fib.rays_f[i - alpha][j]
                  for j in range(n - alpha)] for i in range(alpha, n)]
         fiber_order = abs(lattice.determinant(rows))
-    n_span = len(spanning_classes(d))
-    n_blocks = len(block_labels(d))
+    n_span, n_blocks = len(dec.spans), len(dec.blocks)
     rhs = n_span + n_blocks * fiber_order
     return lhs, rhs, {"spanning": n_span, "blocks": n_blocks,
                       "fiber_order": fiber_order}
@@ -526,8 +529,8 @@ class GenerationCertificate:
         return {node.key: node for node in self.nodes}
 
 
-def _node_key(kind: str, label, witness: int) -> str:
-    prefix = "B" if kind == "block" else "L"
+def _node_key(prefix: str, label, witness: int) -> str:
+    """Node key: prefix "L" for a line bundle (span or koszul), "B" a block."""
     return f"{prefix}|{','.join(str(x) for x in label)}|{witness}"
 
 
@@ -555,47 +558,44 @@ def generation_certificate(d: ExtractionDatum, targets,
     block leaf.  The coordinate sum strictly decreases toward the corners, so
     the recursion terminates; nodes are shared across targets.
     """
-    validate(d)
-    _require_extraction(d)
+    ctx = _extraction_context(d)
     n, alpha = d.n, d.alpha
-    ctx = datum_context(d)
     R = ctx.R
-    nodes: dict[str, CertificateNode] = {}
+    nodes: dict[tuple, CertificateNode] = {}
 
     def build(label, witness, depth):
         if depth > max_depth:
             raise errors.DepthExceeded(
                 f"generation recursion exceeded depth {max_depth}")
+        ident = ("L", label, witness)
+        node = nodes.get(ident)
+        if node is not None:
+            return node.key
         W = ctx.W(label) - ctx.C * witness
-        if W <= 0:
-            key = _node_key("span", label, witness)
-            if key not in nodes:
-                if not (-ctx.S_alpha < W):
-                    raise AssertionError("spanning leaf outside its window")
-                nodes[key] = CertificateNode(
-                    key=key, label=label, witness=witness, w=Fraction(W, R),
-                    kind="span")
-            return key
-        key = _node_key("koszul", label, witness)
-        if key in nodes:
-            return key
-        if not (W <= -ctx.S):
-            raise AssertionError("koszul node outside its window")
         w = Fraction(W, R)
-        # Reserve the key before recursing; children never revisit the parent
-        # because their coordinate sum is strictly smaller.
-        children = []
-        for mask in range(1, 1 << alpha):
-            child = tuple(label[i] - (mask >> i & 1) for i in range(n))
-            children.append(build(child, witness, depth + 1))
-        bkey = _node_key("block", label, witness)
-        if bkey not in nodes:
-            nodes[bkey] = CertificateNode(
-                key=bkey, label=label, witness=witness, w=w, kind="block")
-        nodes[key] = CertificateNode(
-            key=key, label=label, witness=witness, w=w, kind="koszul",
-            children=tuple(children), block_key=bkey)
-        return key
+        if W <= 0:
+            if not (-ctx.S_alpha < W):
+                raise AssertionError("spanning leaf outside its window")
+            node = CertificateNode(key=_node_key(*ident), label=label,
+                                   witness=witness, w=w, kind="span")
+        else:
+            if not (W <= -ctx.S):
+                raise AssertionError("koszul node outside its window")
+            # Children have a smaller coordinate sum, so they never revisit
+            # this node, and its block leaf is new along with it.
+            children = tuple(
+                build(tuple(label[i] - (mask >> i & 1) for i in range(n)),
+                      witness, depth + 1)
+                for mask in range(1, 1 << alpha))
+            bident = ("B", label, witness)
+            block = nodes[bident] = CertificateNode(
+                key=_node_key(*bident), label=label, witness=witness, w=w,
+                kind="block")
+            node = CertificateNode(
+                key=_node_key(*ident), label=label, witness=witness, w=w,
+                kind="koszul", children=children, block_key=block.key)
+        nodes[ident] = node
+        return node.key
 
     roots = []
     for target in targets:
@@ -624,10 +624,8 @@ def verify_certificate(d: ExtractionDatum,
     acyclicity.  Purely combinatorial; the Euler-characteristic replay against
     the cohomology oracle lives in the model layer.
     """
-    validate(d)
-    _require_extraction(d)
+    ctx = _extraction_context(d)
     n, alpha = d.n, d.alpha
-    ctx = datum_context(d)
     R, Sa, S = ctx.R, ctx.S_alpha, ctx.S
     violations: list[tuple[str, str, str]] = []
     node_map: dict[str, CertificateNode] = {}

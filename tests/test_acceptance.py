@@ -16,6 +16,7 @@ from torsod import (
     canned_fan,
     classify,
     cohomology,
+    decompose,
     fiber_transfer_vanishes,
     generation_certificate,
     make_datum,
@@ -23,6 +24,7 @@ from torsod import (
     verify_certificate,
 )
 from torsod.cli import main
+from torsod.extraction import datum_context
 from torsod.models import (
     fiber_model,
     fully_faithful_oracle_check,
@@ -83,6 +85,7 @@ def test_accept_2_transfer_vanishing_vs_oracle():
     t0 = time.perf_counter()
     pair = canned_example("a1-half")
     d = pair.datum
+    ctx = datum_context(d)
     a_last, r_last = d.coefficients[d.n], d.orders[d.n]
 
     # the fast divisibility test must agree with an exact re-derivation of
@@ -94,7 +97,7 @@ def test_accept_2_transfer_vanishing_vs_oracle():
         solved = -Fraction(r_last, a_last) * partial
         derived = not (solved.denominator == 1
                        and solved.numerator % r_last == 0)
-        ok = ok and fiber_transfer_vanishes(d, k) == derived
+        ok = ok and fiber_transfer_vanishes(ctx, k) == derived
 
     # the corner offsets entering the faithfulness argument (indicator
     # vectors over the center rays) must certify and the oracle must see
@@ -104,14 +107,14 @@ def test_accept_2_transfer_vanishing_vs_oracle():
         delta = tuple(1 if i in subset else 0 for i in range(d.n))
         s = sum(Fraction(d.coefficients[i], d.orders[i]) for i in subset)
         ok = ok and 0 < s < Fraction(abs(a_last), r_last)
-        ok = ok and fiber_transfer_vanishes(d, delta)
+        ok = ok and fiber_transfer_vanishes(ctx, delta)
         for sign in (1, -1):
             moved = transfer_label(pair, fib,
                                    tuple(sign * x for x in delta))
             ok = ok and (moved is None
                          or not any(cohomology(fib.fan, moved).dims))
 
-    res = transfer_dichotomy_check(pair, 4)
+    res = transfer_dichotomy_check(pair, decompose(d), 4, fib)
     elapsed = time.perf_counter() - t0
     ok = ok and res.ok and res.total == 81 and elapsed < budget
     assert _verdict(2, "transfer-vanishing vs oracle", ok, elapsed, budget), \
@@ -123,7 +126,7 @@ def test_accept_3_fully_faithful_against_oracle():
     t0 = time.perf_counter()
     ok = True
     for pair in _extraction_pairs():
-        res = fully_faithful_oracle_check(pair)
+        res = fully_faithful_oracle_check(pair, decompose(pair.datum))
         ok = ok and res.ok and res.total > 0
     elapsed = time.perf_counter() - t0
     ok = ok and elapsed < budget
@@ -135,7 +138,8 @@ def test_accept_4_semiorthogonality_against_oracle():
     t0 = time.perf_counter()
     ok = True
     for pair in _extraction_pairs():
-        res = semiorthogonality_oracle_check(pair)
+        res = semiorthogonality_oracle_check(pair, decompose(pair.datum),
+                                             fiber_model(pair))
         ok = ok and res.ok and res.total > 0
     elapsed = time.perf_counter() - t0
     ok = ok and elapsed < budget

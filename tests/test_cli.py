@@ -4,7 +4,7 @@ import pytest
 
 from torsod.cli import main
 from torsod.serialize import canonical_json_bytes, datum_to_obj, fan_to_obj
-from torsod import canned_example, canned_fan
+from torsod import canned_example, canned_fan, lattice, sod
 
 
 def run(argv, capsys):
@@ -53,6 +53,14 @@ def test_invalid_json_file(tmp_path, capsys):
     assert "invalid JSON" in err
 
 
+def test_invalid_utf8_file(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b'{"n": "\xc3\x28"}')
+    code, _, err = run(["classify", str(bad)], capsys)
+    assert code == 2
+    assert "invalid JSON" in err and str(bad) in err
+
+
 def test_classify_datum_file(tmp_path, capsys):
     obj = datum_to_obj(canned_example("a2-third").datum)
     path = tmp_path / "datum.json"
@@ -74,6 +82,33 @@ def test_sod_datum_file(tmp_path, capsys, stress_datum):
     assert len(checks["block-labels"]["rows"]) == 54
     (identity,) = checks["count-identity"]["rows"]
     assert identity["lhs"] == identity["rhs"] == 1080
+
+
+def test_one_enumeration_per_run(tmp_path, capsys, monkeypatch):
+    # Each run enumerates the spanning classes and blocks once and builds
+    # three Smith forms: the class group, the restricted class lattice and
+    # the transfer lattice.
+    calls = {}
+
+    def count(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+
+    count(sod, "spanning_classes")
+    count(sod, "block_labels")
+    count(lattice, "cokernel")
+    report = str(tmp_path / "report.json")
+    for argv in (["sod", "a1-half-line", "--box", "2", "--json", report],
+                 ["oracle", "a1-half-line", "--verify-sod", "--box", "1"]):
+        calls.update(spanning_classes=0, block_labels=0, cokernel=0)
+        code, _, _ = run(argv, capsys)
+        assert code == 0
+        assert calls == {"spanning_classes": 1, "block_labels": 1,
+                         "cokernel": 3}, argv
 
 
 def test_sod_reports_are_deterministic(tmp_path, capsys):

@@ -8,6 +8,7 @@ from torsod import (
     cohomology,
     count_identity_check,
     datum_from_fans,
+    decompose,
     euler_characteristic,
     example_names,
     fan_names,
@@ -143,26 +144,28 @@ def test_koszul_replay_on_certificates(extraction_pairs):
 
 def test_transfer_dichotomy(extraction_pairs):
     for pair in extraction_pairs:
-        res = transfer_dichotomy_check(pair, 4)
+        res = transfer_dichotomy_check(pair, decompose(pair.datum), 4,
+                                       fiber_model(pair))
         assert res.ok, (pair.name, res.failures[:3])
         assert res.total == 9 ** pair.datum.alpha
 
 
 def test_fully_faithful_against_oracle(extraction_pairs):
     for pair in extraction_pairs:
-        res = fully_faithful_oracle_check(pair)
+        res = fully_faithful_oracle_check(pair, decompose(pair.datum))
         assert res.ok, (pair.name, res.failures[:3])
 
 
 def test_semiorthogonality_against_oracle(extraction_pairs):
     for pair in extraction_pairs:
-        res = semiorthogonality_oracle_check(pair)
+        res = semiorthogonality_oracle_check(pair, decompose(pair.datum),
+                                             fiber_model(pair))
         assert res.ok, (pair.name, res.failures[:3])
 
 
 def test_count_identity_against_oracle(extraction_pairs):
     for pair in extraction_pairs:
-        res = count_identity_check(pair)
+        res = count_identity_check(decompose(pair.datum))
         assert res.ok, (pair.name, res.failures)
 
 
@@ -170,8 +173,7 @@ def test_model_fans_agree_with_euler_duality(a2_third):
     # chi is a derived invariant of the pair: the pushforward of the
     # structure sheaf preserves Euler characteristics of window classes
     d = a2_third.datum
-    from torsod import spanning_classes
-    for cls in spanning_classes(d):
+    for cls in decompose(d).spans:
         ex = euler_characteristic(a2_third.fan_x, x_label(a2_third, cls.label))
         ey = euler_characteristic(a2_third.fan_y,
                                   y_label(a2_third, cls.label[:d.n]))

@@ -4,15 +4,13 @@ from itertools import product
 
 import pytest
 
-import torsod.sod as sod_module
 from props import ref_vanishes, ref_window_witness
 from torsod import (
     GenerationCertificate,
     SpanningClass,
-    block_labels,
     canned_example,
     class_group,
-    exceptional_lattice,
+    decompose,
     extend_block_label,
     fiber_transfer_vanishes,
     fully_faithful_check,
@@ -24,17 +22,17 @@ from torsod import (
     sigma,
     sigma_alpha,
     solved_exceptional_exponent,
-    spanning_classes,
     transfer_is_invertible,
     verify_certificate,
     weighted_sum,
     weighted_sum_partial,
 )
 from torsod.errors import RequiresExtraction
+from torsod.extraction import datum_context
 
 
 def test_spanning_classes_a1_half(a1_half):
-    spans = spanning_classes(a1_half.datum)
+    spans = decompose(a1_half.datum).spans
     assert sorted(s.w for s in spans) == [Fraction(-1, 2), Fraction(-1, 2), 0, 0]
     labels = {s.label for s in spans}
     assert len(labels) == 4
@@ -43,8 +41,8 @@ def test_spanning_classes_a1_half(a1_half):
 
 
 def test_spanning_counts(a2_third, a1_half_line):
-    assert len(spanning_classes(a2_third.datum)) == 9
-    assert len(spanning_classes(a1_half_line.datum)) == 4
+    assert len(decompose(a2_third.datum).spans) == 9
+    assert len(decompose(a1_half_line.datum).spans) == 4
 
 
 def test_class_group_a1_half(a1_half):
@@ -54,7 +52,7 @@ def test_class_group_a1_half(a1_half):
 
 
 def test_blocks_a1_half(a1_half):
-    blocks = block_labels(a1_half.datum)
+    blocks = decompose(a1_half.datum).blocks
     assert [(b.label, b.w) for b in blocks] == [
         ((0, 1), Fraction(1, 2)),
         ((1, 0), Fraction(1, 2)),
@@ -68,7 +66,7 @@ def test_blocks_a1_half(a1_half):
 
 
 def test_blocks_a2_third(a2_third):
-    blocks = block_labels(a2_third.datum)
+    blocks = decompose(a2_third.datum).blocks
     assert len(blocks) == 18
     ws = sorted(set(b.w for b in blocks))
     assert ws == [Fraction(1, 3), Fraction(2, 3), Fraction(1),
@@ -78,21 +76,22 @@ def test_blocks_a2_third(a2_third):
 
 
 def test_blocks_merge_on_twist(twist_datum):
-    blocks = block_labels(twist_datum)
+    dec = decompose(twist_datum)
+    blocks = dec.blocks
     assert len(blocks) == 4
     assert [b.label for b in blocks] == [(0, 1), (1, 0), (0, 2), (1, 1)]
     for b in blocks:
         assert b.witness == 0
         assert len(b.aliases) == 1
-    lhs, rhs, parts = generator_count_identity(twist_datum)
+    lhs, rhs, parts = generator_count_identity(dec)
     assert (lhs, rhs) == (16, 16)
     assert parts == {"spanning": 8, "blocks": 4, "fiber_order": 2}
 
 
 def test_count_identities(a1_half, a2_third, a1_half_line):
-    assert generator_count_identity(a1_half.datum)[:2] == (8, 8)
-    assert generator_count_identity(a2_third.datum)[:2] == (27, 27)
-    lhs, rhs, parts = generator_count_identity(a1_half_line.datum)
+    assert generator_count_identity(decompose(a1_half.datum))[:2] == (8, 8)
+    assert generator_count_identity(decompose(a2_third.datum))[:2] == (27, 27)
+    lhs, rhs, parts = generator_count_identity(decompose(a1_half_line.datum))
     assert (lhs, rhs) == (8, 8)
     assert parts == {"spanning": 4, "blocks": 4, "fiber_order": 1}
 
@@ -100,9 +99,9 @@ def test_count_identities(a1_half, a2_third, a1_half_line):
 def test_requires_extraction():
     crepant = canned_example("a1-half-crepant").datum
     with pytest.raises(RequiresExtraction):
-        spanning_classes(crepant)
+        decompose(crepant)
     with pytest.raises(RequiresExtraction):
-        block_labels(crepant)
+        verify_certificate(crepant, GenerationCertificate((), ()))
     contraction = canned_example("smooth-blowup").datum
     with pytest.raises(RequiresExtraction):
         generation_certificate(contraction, [(0, 0)])
@@ -136,16 +135,17 @@ def test_solved_exponent_and_divisibility(a1_half):
     d = a1_half.datum
     assert solved_exceptional_exponent(d, (1, 1)) == Fraction(1, 2)
     assert solved_exceptional_exponent(d, (2, 2)) == 1
+    ctx = datum_context(d)
     # certificate fires exactly when the solved exponent is not an integer
-    assert fiber_transfer_vanishes(d, (0, 1))
-    assert fiber_transfer_vanishes(d, (1, 2))
-    assert not fiber_transfer_vanishes(d, (2, 2))
-    assert not fiber_transfer_vanishes(d, (0, 0))
+    assert fiber_transfer_vanishes(ctx, (0, 1))
+    assert fiber_transfer_vanishes(ctx, (1, 2))
+    assert not fiber_transfer_vanishes(ctx, (2, 2))
+    assert not fiber_transfer_vanishes(ctx, (0, 0))
     # (1, 3) slips past the divisibility test but fails the exact one
-    assert not fiber_transfer_vanishes(d, (1, 3))
-    assert not transfer_is_invertible(d, (1, 3))
-    assert transfer_is_invertible(d, (2, 2))
-    assert transfer_is_invertible(d, (0, 4))
+    assert not fiber_transfer_vanishes(ctx, (1, 3))
+    assert not transfer_is_invertible(ctx, (1, 3))
+    assert transfer_is_invertible(ctx, (2, 2))
+    assert transfer_is_invertible(ctx, (0, 4))
 
 
 def test_transfer_vanishing_symmetric_under_negation(extraction_pairs):
@@ -153,15 +153,16 @@ def test_transfer_vanishing_symmetric_under_negation(extraction_pairs):
     # divisibility certificate cannot distinguish k from -k
     for pair in extraction_pairs:
         d = pair.datum
+        ctx = datum_context(d)
         for head in product(range(-3, 4), repeat=d.alpha):
             k = head + (0,) * (d.n - d.alpha)
             neg = tuple(-x for x in k)
-            assert fiber_transfer_vanishes(d, k) == \
-                fiber_transfer_vanishes(d, neg)
+            assert fiber_transfer_vanishes(ctx, k) == \
+                fiber_transfer_vanishes(ctx, neg)
 
 
 def test_exceptional_lattice_order(a1_half):
-    tau = exceptional_lattice(a1_half.datum)
+    tau = datum_context(a1_half.datum).tau
     assert tau.free_rank == 0
     assert tau.order() == 8
     assert tau.contains((2, 2))
@@ -174,68 +175,65 @@ def test_extend_block_label(a1_half_line):
 
 def test_fully_faithful_check(extraction_pairs):
     for pair in extraction_pairs:
-        report = fully_faithful_check(pair.datum)
+        report = fully_faithful_check(decompose(pair.datum))
         assert report.ok, pair.name
         assert report.head_ok
         assert len(report.pairs) == 1
 
 
-def _all_pairs_verdict(d):
+def _all_pairs_verdict(dec):
     """Reference: check every ordered pair of spanning classes directly."""
+    d = dec.ctx.datum
     sa = sigma_alpha(d)
-    spans = sod_module.spanning_classes(d)
     pairs_ok = True
-    for p in spans:
-        for q in spans:
+    for p in dec.spans:
+        for q in dec.spans:
             delta = tuple(x - y for x, y in zip(p.label, q.label))
             dw = weighted_sum(d, delta)
             pairs_ok &= -sa < -dw < sa and pushforward(d, delta).higher_vanishing
-    report = fully_faithful_check(d)
+    report = fully_faithful_check(dec)
     return pairs_ok and report.head_ok and all(ok for _, _, ok in report.koszul)
 
 
-def _inject(monkeypatch, d, label):
-    """Make sod.spanning_classes(d) return the true classes plus ``label``."""
-    spans = spanning_classes(d) + [
-        SpanningClass(label=label, w=weighted_sum(d, label))]
-    monkeypatch.setattr(sod_module, "spanning_classes", lambda _d: spans)
+def _inject(dec, label):
+    """The decomposition ``dec`` with one more spanning class, ``label``."""
+    extra = SpanningClass(label=label, w=weighted_sum(dec.ctx.datum, label))
+    return replace(dec, spans=dec.spans + (extra,))
 
 
-def test_fully_faithful_matches_all_pairs(extraction_pairs, twist_datum,
-                                          monkeypatch):
+def test_fully_faithful_matches_all_pairs(extraction_pairs, twist_datum):
     verdicts = []
     for d in [pair.datum for pair in extraction_pairs] + [twist_datum]:
-        assert fully_faithful_check(d).ok == _all_pairs_verdict(d)
-        for c in spanning_classes(d):
+        dec = decompose(d)
+        assert fully_faithful_check(dec).ok == _all_pairs_verdict(dec)
+        for c in dec.spans:
             for i in range(d.n + 1):
                 for step in (-1, 1):
                     label = c.label[:i] + (c.label[i] + step,) + c.label[i + 1:]
-                    _inject(monkeypatch, d, label)
-                    report = fully_faithful_check(d)
+                    injected = _inject(dec, label)
+                    report = fully_faithful_check(injected)
                     assert len(report.pairs) == 1
-                    assert report.ok == _all_pairs_verdict(d)
+                    assert report.ok == _all_pairs_verdict(injected)
                     verdicts.append(report.ok)
-                    monkeypatch.undo()
         # For an extraction one exceptional stride exceeds sigma_alpha, so a
         # class one stride below the lowest spanning class breaks both checks.
-        low = min(spanning_classes(d), key=lambda c: c.w)
-        _inject(monkeypatch, d, low.label[:-1] + (low.label[-1] + 1,))
-        assert not fully_faithful_check(d).ok
-        assert not _all_pairs_verdict(d)
-        monkeypatch.undo()
+        low = min(dec.spans, key=lambda c: c.w)
+        injected = _inject(dec, low.label[:-1] + (low.label[-1] + 1,))
+        assert not fully_faithful_check(injected).ok
+        assert not _all_pairs_verdict(injected)
     assert True in verdicts and False in verdicts
 
 
 def test_semiorthogonality_check(extraction_pairs):
     for pair in extraction_pairs:
-        report = semiorthogonality_check(pair.datum)
+        report = semiorthogonality_check(decompose(pair.datum))
         assert report.ok, pair.name
         kinds = {e.kind for e in report.entries}
         assert "span-block" in kinds
 
 
 def test_semiorthogonality_uses_lattice_reason(twist_datum):
-    report = semiorthogonality_check(twist_datum)
+    report = semiorthogonality_check(decompose(twist_datum))
     assert report.ok
     lattice_entries = [e for e in report.entries if e.reason == "lattice"]
     assert lattice_entries
@@ -247,19 +245,21 @@ def _check_against_fraction_reference(d, box):
     sa, s = sigma_alpha(d), sigma(d)
     a_last, r_last = d.coefficients[-1], d.orders[-1]
 
-    for c in spanning_classes(d):
+    dec = decompose(d)
+    for c in dec.spans:
         assert c.w == weighted_sum(d, c.label) and -sa < c.w <= 0
-    for b in block_labels(d):
+    for b in dec.blocks:
         assert b.w == (weighted_sum_partial(d, b.label)
                        + Fraction(a_last * b.witness, r_last))
         assert 0 < b.w <= -s
 
     expected = {}
-    for e in semiorthogonality_check(d).entries:
+    for e in semiorthogonality_check(dec).entries:
         key = (e.reason, e.label)
         if key not in expected:
-            expected[key] = (ref_vanishes(d, e.label) if e.reason == "interval"
-                             else not transfer_is_invertible(d, e.label))
+            expected[key] = (
+                ref_vanishes(d, e.label) if e.reason == "interval"
+                else not transfer_is_invertible(dec.ctx, e.label))
         assert e.certified == expected[key], e
 
     targets = list(product(range(-box, box + 1), repeat=d.n))
