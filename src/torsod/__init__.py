@@ -32,11 +32,9 @@ from .extraction import (
     ExtractionDatum,
     FibrationDatum,
     MorphismKind,
-    RestrictionTable,
     classify,
     induced_fibration,
     make_datum,
-    restriction_coefficients,
     sigma,
     sigma_alpha,
     validate,
@@ -51,7 +49,6 @@ from .lattice import (
     integer_kernel,
     primitivize,
     quotient_project,
-    smith_normal_form,
     smith_normal_form_full,
     solve_integer,
 )
@@ -69,24 +66,17 @@ from .models import (
     fiber_model,
     fully_faithful_oracle_check,
     koszul_replay_check,
-    load_fan,
-    pair_from_fans,
-    pair_from_obj,
-    pair_to_obj,
     semiorthogonality_oracle_check,
     transfer_dichotomy_check,
     transfer_label,
 )
 from .oracle import (
-    CohomologyVector,
     DualityReport,
     SelfCheckReport,
     StackyFan,
     check_complete,
     cohomology,
     euler_characteristic,
-    ext_groups,
-    graded_piece,
     make_fan,
     oracle_self_check,
     section_count,
@@ -112,7 +102,6 @@ from .sod import (
     CertificateVerification,
     Decomposition,
     GenerationCertificate,
-    PushforwardFormula,
     SpanningClass,
     block_labels,
     class_group,
@@ -122,8 +111,6 @@ from .sod import (
     fully_faithful_check,
     generation_certificate,
     generator_count_identity,
-    in_spanning_window,
-    pushforward,
     semiorthogonality_check,
     solved_exceptional_exponent,
     spanning_classes,

@@ -285,32 +285,36 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="cmd", required=True)
 
-    def common(p, box_default):
+    def common(p):
         p.add_argument("model",
                        help="catalog name or JSON file "
                             f"(models: {', '.join(models.example_names())})")
-        p.add_argument("--box", type=int, default=box_default,
-                       help=f"label scan half-width (default {box_default})")
         p.add_argument("--json", metavar="PATH",
                        help="write the canonical JSON report here")
         p.add_argument("--markdown", metavar="PATH",
                        help="write the markdown report here")
 
+    def box(p, default):
+        p.add_argument("--box", type=int, default=default,
+                       help=f"label scan half-width (default {default})")
+
     p_classify = sub.add_parser("classify",
                                 help="trichotomy of a local model")
-    common(p_classify, box_default=0)
+    common(p_classify)
     p_classify.set_defaults(func=cmd_classify)
 
     p_sod = sub.add_parser("sod",
                            help="exact enumeration pipeline with certificates")
-    common(p_sod, box_default=6)
+    common(p_sod)
+    box(p_sod, 6)
     p_sod.add_argument("--max-depth", type=int, default=64,
                        help="generation recursion guard (default 64)")
     p_sod.set_defaults(func=cmd_sod)
 
     p_oracle = sub.add_parser("oracle",
                               help="cohomology self-tests and cross-checks")
-    common(p_oracle, box_default=4)
+    common(p_oracle)
+    box(p_oracle, 4)
     p_oracle.add_argument("--verify-sod", action="store_true",
                           help="cross-check the enumerated decomposition "
                                "against brute-force cohomology (catalog "
@@ -325,7 +329,7 @@ def main(argv=None) -> int:
     if args.cmd == "sod" and args.max_depth < 1:
         print("error: --max-depth must be positive", file=sys.stderr)
         return 2
-    if args.box < 0:
+    if args.cmd != "classify" and args.box < 0:
         print("error: --box must be nonnegative", file=sys.stderr)
         return 2
     try:

@@ -307,34 +307,3 @@ def induced_fibration(d: ExtractionDatum) -> FibrationDatum:
         t_base=t_base,
         reduced_coefficients=reduced,
     )
-
-
-@dataclass(frozen=True)
-class RestrictionTable:
-    """Per-ray scaling of exponents under restriction to divisor and fiber."""
-
-    to_divisor: tuple[Fraction, ...]   # 1/t_i for i = 1..n
-    to_fiber: tuple[Fraction, ...]     # 1/(s_i t_i) for i = alpha+1..n
-
-
-def restriction_coefficients(d: ExtractionDatum) -> RestrictionTable:
-    """Exact restriction scalings, cross-checked against the composite map.
-
-    The composite projection N -> N_F must send v_i (i > alpha) to
-    s_i * t_i times a primitive vector; the table records the reciprocal
-    scalings applied to divisor exponents.
-    """
-    fib = induced_fibration(d)
-    n, alpha = d.n, d.alpha
-    for i in range(alpha, n):
-        composite = fib.proj_df.apply(fib.proj_xd.apply(d.rays[i]))
-        prim, mult = lattice.primitivize(composite)
-        if mult != fib.s[i - alpha] * fib.t[i] or prim != fib.rays_f[i - alpha]:
-            raise errors.DegenerateDatum(
-                f"composite multiplicity mismatch at ray {i}: "
-                f"{mult} != {fib.s[i - alpha]} * {fib.t[i]}")
-    return RestrictionTable(
-        to_divisor=tuple(Fraction(1, ti) for ti in fib.t),
-        to_fiber=tuple(Fraction(1, fib.s[i - alpha] * fib.t[i])
-                       for i in range(alpha, n)),
-    )

@@ -39,19 +39,6 @@ def transpose(a: Matrix) -> Matrix:
     return [[a[i][j] for i in range(len(a))] for j in range(len(a[0]))]
 
 
-def xgcd(a: int, b: int) -> tuple[int, int, int]:
-    """Extended gcd: returns (g, x, y) with g = a*x + b*y and g = gcd(a, b) >= 0."""
-    x0, y0, x1, y1 = 1, 0, 0, 1
-    while b:
-        q = a // b
-        a, b = b, a - q * b
-        x0, x1 = x1, x0 - q * x1
-        y0, y1 = y1, y0 - q * y1
-    if a < 0:
-        a, x0, y0 = -a, -x0, -y0
-    return a, x0, y0
-
-
 def primitivize(vec) -> tuple[Vector, int]:
     """Divide a nonzero integer vector by its content gcd.
 
@@ -205,20 +192,14 @@ class _SnfWork:
             t += 1
 
 
-def smith_normal_form(mat: Matrix):
-    """Smith normal form with transforms.
-
-    Returns (U, D, V) with U @ mat @ V == D, U and V unimodular, and D
-    diagonal with nonnegative entries satisfying d_1 | d_2 | ... .  Pivots
-    are chosen deterministically (smallest absolute value, ties in row-major
-    order), so identical inputs yield bit-identical transforms.
-    """
-    u, d, v, _, _ = smith_normal_form_full(mat)
-    return u, d, v
-
-
 def smith_normal_form_full(mat: Matrix):
-    """Like :func:`smith_normal_form` but also returns (Uinv, Vinv)."""
+    """Smith normal form with transforms and their inverses.
+
+    Returns (U, D, V, Uinv, Vinv) with U @ mat @ V == D, U and V unimodular,
+    and D diagonal with nonnegative entries satisfying d_1 | d_2 | ... .
+    Pivots are chosen deterministically (smallest absolute value, ties in
+    row-major order), so identical inputs yield bit-identical transforms.
+    """
     work = _SnfWork(mat)
     work.diagonalize()
     return work.u, work.d, work.v, work.uinv, work.vinv

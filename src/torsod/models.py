@@ -14,7 +14,7 @@ from fractions import Fraction
 from itertools import product
 from math import gcd, lcm
 
-from . import errors, lattice, oracle, serialize, sod
+from . import errors, lattice, oracle, sod
 from .extraction import ExtractionDatum, make_datum, relation_rows
 from .oracle import StackyFan, make_fan
 
@@ -294,53 +294,6 @@ def datum_from_fans(fan_x: StackyFan, fan_y: StackyFan,
     return datum, x_map, y_order
 
 
-def pair_from_fans(name: str, fan_x: StackyFan, fan_y: StackyFan,
-                   exceptional_index: int | None = None) -> ModelPair:
-    datum, x_map, y_map = datum_from_fans(fan_x, fan_y, exceptional_index)
-    pair = ModelPair(name=name, datum=datum, fan_x=fan_x, fan_y=fan_y,
-                     exceptional_index=x_map[-1], x_rays=x_map, y_rays=y_map)
-    _validate_pair(pair)
-    return pair
-
-
-def load_fan(path: str) -> StackyFan:
-    """Load and validate a stacky fan from a JSON file."""
-    obj, _ = serialize.load_json(path)
-    return serialize.fan_from_obj(obj)
-
-
-def pair_to_obj(pair: ModelPair) -> dict:
-    return {
-        "name": pair.name,
-        "datum": serialize.datum_to_obj(pair.datum),
-        "fan_x": serialize.fan_to_obj(pair.fan_x),
-        "fan_y": serialize.fan_to_obj(pair.fan_y),
-        "exceptional_index": pair.exceptional_index,
-        "x_rays": list(pair.x_rays),
-        "y_rays": list(pair.y_rays),
-    }
-
-
-def pair_from_obj(obj) -> ModelPair:
-    serialize.require_keys(
-        obj, ("name", "datum", "fan_x", "fan_y", "exceptional_index",
-              "x_rays", "y_rays"), "pair")
-    if not isinstance(obj["name"], str):
-        raise errors.SchemaError("pair.name: expected a string")
-    pair = ModelPair(
-        name=obj["name"],
-        datum=serialize.datum_from_obj(obj["datum"]),
-        fan_x=serialize.fan_from_obj(obj["fan_x"]),
-        fan_y=serialize.fan_from_obj(obj["fan_y"]),
-        exceptional_index=serialize.decode_int(obj["exceptional_index"],
-                                               "pair.exceptional_index"),
-        x_rays=tuple(serialize.decode_int_list(obj["x_rays"], "pair.x_rays")),
-        y_rays=tuple(serialize.decode_int_list(obj["y_rays"], "pair.y_rays")),
-    )
-    _validate_pair(pair)
-    return pair
-
-
 # ---------------------------------------------------------------------------
 # Fiber side
 
@@ -488,9 +441,8 @@ def fully_faithful_oracle_check(pair: ModelPair,
     for p in dec.spans:
         for q in dec.spans:
             delta = tuple(a - b for a, b in zip(p.label, q.label))
-            hx = oracle.cohomology(pair.fan_x, x_label(pair, delta)).dims
-            hy = oracle.cohomology(pair.fan_y,
-                                   y_label(pair, delta[:d.n])).dims
+            hx = oracle.cohomology(pair.fan_x, x_label(pair, delta))
+            hy = oracle.cohomology(pair.fan_y, y_label(pair, delta[:d.n]))
             total += 1
             if hx != hy:
                 failures.append(f"delta {delta}: source {hx} != target {hy}")
@@ -515,7 +467,7 @@ def semiorthogonality_oracle_check(pair: ModelPair, dec: sod.Decomposition,
         transferred = transfer_label(pair, fiber, entry.label)
         if transferred is None:
             continue
-        dims = oracle.cohomology(fiber.fan, transferred).dims
+        dims = oracle.cohomology(fiber.fan, transferred)
         if any(dims):
             failures.append(
                 f"{entry.kind} {entry.source}->{entry.target} corner "
@@ -538,7 +490,7 @@ def semiorthogonality_oracle_check(pair: ModelPair, dec: sod.Decomposition,
                     f"block {b.label}: corner {mask:b} transfer unexpectedly "
                     "nonzero")
                 continue
-            piece = oracle.cohomology(fiber.fan, transferred).dims
+            piece = oracle.cohomology(fiber.fan, transferred)
             for qdeg, x in enumerate(piece):
                 dims[qdeg] += x
         if ok and tuple(dims) != expected:

@@ -94,6 +94,10 @@ def validate_fan(fan: StackyFan) -> None:
             raise errors.SchemaError(f"cone {cone} listed twice")
         cone_sets.add(cone)
         covered.update(cone)
+    for face in fan.max_cones:
+        for cone in fan.max_cones:
+            if face != cone and set(face) <= set(cone):
+                raise errors.SchemaError(f"cone {face} is a face of cone {cone}")
     missing = sorted(set(range(len(fan.rays))) - covered)
     if missing:
         raise errors.SchemaError(f"rays {missing} lie in no maximal cone")
@@ -185,14 +189,6 @@ def _label(fan: StackyFan, k) -> tuple[int, ...]:
     return k
 
 
-def graded_piece(fan: StackyFan, k, m) -> tuple[int, ...]:
-    """Cohomology dims contributed by the single character m."""
-    m = tuple(int(x) for x in m)
-    if len(m) != fan.rank:
-        raise ValueError(f"character must have length {fan.rank}")
-    return _pattern_cohomology(fan, _negative_pattern(fan, _label(fan, k), m))
-
-
 # ---------------------------------------------------------------------------
 # Scan boxes
 
@@ -260,40 +256,21 @@ def _certified_box(fan: StackyFan, k) -> tuple[tuple[int, ...], tuple[int, ...]]
 # Public oracle operations
 
 
-@dataclass(frozen=True)
-class CohomologyVector:
-    """Total dims per degree plus the graded support that produced them."""
-
-    dims: tuple[int, ...]
-    support: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]  # (m, dims)
-    box_lo: tuple[int, ...]
-    box_hi: tuple[int, ...]
-
-
-def cohomology(fan: StackyFan, k) -> CohomologyVector:
-    """All cohomology dims of the sheaf with ray exponents k, exactly."""
+def cohomology(fan: StackyFan, k) -> tuple[int, ...]:
+    """Dims (h^0, ..., h^rank) of the sheaf with ray exponents k, exactly."""
     return _cohomology_cached(fan, _label(fan, k))
 
 
 @lru_cache(maxsize=None)
-def _cohomology_cached(fan: StackyFan, k: tuple[int, ...]) -> CohomologyVector:
+def _cohomology_cached(fan: StackyFan, k: tuple[int, ...]) -> tuple[int, ...]:
     lo, hi = _certified_box(fan, k)
     dims = [0] * (fan.rank + 1)
-    support = []
     for m in _box_points(lo, hi):
         h = _pattern_cohomology(fan, _negative_pattern(fan, k, m))
         if any(h):
-            support.append((m, h))
             for q, x in enumerate(h):
                 dims[q] += x
-    return CohomologyVector(dims=tuple(dims), support=tuple(support),
-                            box_lo=lo, box_hi=hi)
-
-
-def ext_groups(fan: StackyFan, k, k_prime) -> CohomologyVector:
-    """Ext^q(O(k_prime), O(k)) = H^q of the difference label k - k_prime."""
-    diff = tuple(a - b for a, b in zip(_label(fan, k), _label(fan, k_prime)))
-    return cohomology(fan, diff)
+    return tuple(dims)
 
 
 def euler_characteristic(fan: StackyFan, k) -> int:
@@ -414,9 +391,9 @@ def serre_duality_check(fan: StackyFan, bound: int) -> DualityReport:
     mismatches = []
     checked = 0
     for k in product(range(-bound, bound + 1), repeat=nrays):
-        h = cohomology(fan, k).dims
+        h = cohomology(fan, k)
         dual = tuple(c - x for c, x in zip(canonical, k))
-        hd = cohomology(fan, dual).dims
+        hd = cohomology(fan, dual)
         checked += 1
         if h != tuple(reversed(hd)):
             mismatches.append((k, h, hd))
@@ -430,9 +407,7 @@ class SelfCheckReport:
     complete: bool
     zero_label_ok: bool
     duality: DualityReport
-    sections_checked: int
     section_mismatches: tuple[tuple[tuple[int, ...], int, int], ...]
-    euler_checked: int
     euler_mismatches: tuple[tuple[tuple[int, ...], int, int], ...]
 
 
@@ -450,22 +425,19 @@ def oracle_self_check(fan: StackyFan, bound: int) -> SelfCheckReport:
         return SelfCheckReport(
             ok=False, complete=False, zero_label_ok=False,
             duality=DualityReport(ok=True, checked=0, mismatches=()),
-            sections_checked=0, section_mismatches=(),
-            euler_checked=0, euler_mismatches=())
-    zero = cohomology(fan, (0,) * len(fan.rays)).dims
+            section_mismatches=(), euler_mismatches=())
+    zero = cohomology(fan, (0,) * len(fan.rays))
     zero_ok = zero == (1,) + (0,) * fan.rank
     duality = serre_duality_check(fan, bound)
     section_bad = []
     euler_bad = []
-    checked = 0
     for k in product(range(-bound, bound + 1), repeat=len(fan.rays)):
-        vec = cohomology(fan, k)
-        checked += 1
-        h0 = vec.dims[0]
+        dims = cohomology(fan, k)
+        h0 = dims[0]
         direct = section_count(fan, k)
         if h0 != direct:
             section_bad.append((k, h0, direct))
-        alternating = sum((-1) ** q * x for q, x in enumerate(vec.dims))
+        alternating = sum((-1) ** q * x for q, x in enumerate(dims))
         chi = euler_characteristic(fan, k)
         if alternating != chi:
             euler_bad.append((k, alternating, chi))
@@ -473,6 +445,5 @@ def oracle_self_check(fan: StackyFan, bound: int) -> SelfCheckReport:
           and not section_bad and not euler_bad)
     return SelfCheckReport(
         ok=ok, complete=complete, zero_label_ok=zero_ok, duality=duality,
-        sections_checked=checked, section_mismatches=tuple(section_bad),
-        euler_checked=checked, euler_mismatches=tuple(euler_bad),
-    )
+        section_mismatches=tuple(section_bad),
+        euler_mismatches=tuple(euler_bad))

@@ -39,9 +39,7 @@ from .extraction import (
     datum_context,
     induced_fibration,
     relation_rows,
-    sigma_alpha,
     validate,
-    weighted_sum,
     weighted_sum_partial,
 )
 
@@ -55,38 +53,6 @@ def _extraction_context(d: ExtractionDatum) -> DatumContext:
             f"datum classifies as {cls.kind.value} (sigma = {cls.sigma}); "
             "decomposition enumeration needs sigma < 0")
     return datum_context(d)
-
-
-def in_spanning_window(d: ExtractionDatum, k) -> bool:
-    """Whether the full exponent vector k satisfies 0 <= -w(k) < sigma_alpha."""
-    w = weighted_sum(d, k)
-    return 0 <= -w < sigma_alpha(d)
-
-
-@dataclass(frozen=True)
-class PushforwardFormula:
-    """Image exponents of a line bundle under the contraction, with caveats."""
-
-    label: tuple[int, ...]          # exponents on the surviving n divisors
-    w: Fraction
-    higher_vanishing: bool          # derived pushforwards vanish in degree > 0
-    sheaf_formula_applies: bool     # the pushforward is the expected sheaf
-
-
-def pushforward(d: ExtractionDatum, k) -> PushforwardFormula:
-    """Drop the exceptional exponent and report when that is the whole story.
-
-    Higher derived images vanish exactly when w(k) > -sigma_alpha, and the
-    zeroth image is the reflexive sheaf with the truncated exponents exactly
-    when w(k) <= 0.  Inside the spanning window both conditions hold.
-    """
-    w = weighted_sum(d, k)
-    return PushforwardFormula(
-        label=tuple(k[: d.n]),
-        w=w,
-        higher_vanishing=w > -sigma_alpha(d),
-        sheaf_formula_applies=w <= 0,
-    )
 
 
 def solved_exceptional_exponent(d: ExtractionDatum, k_local) -> Fraction:

@@ -183,6 +183,19 @@ def test_verify_sod_needs_a_model(tmp_path, capsys):
     assert "catalog model" in err
 
 
+@pytest.mark.parametrize("face", [[0], []])
+def test_fan_file_listing_a_face_is_invalid(tmp_path, capsys, face):
+    # P^2 stays complete, but a listed cone that is a face of another is
+    # malformed input, not a failed check
+    obj = fan_to_obj(canned_fan("p2"))
+    obj["max_cones"].append(face)
+    path = tmp_path / "fan.json"
+    path.write_bytes(canonical_json_bytes(obj))
+    code, _, err = run(["oracle", str(path)], capsys)
+    assert code == 2
+    assert "is a face of cone" in err
+
+
 def test_schema_error_in_fan_file(tmp_path, capsys):
     path = tmp_path / "fan.json"
     path.write_bytes(canonical_json_bytes(
@@ -194,6 +207,12 @@ def test_schema_error_in_fan_file(tmp_path, capsys):
 def test_negative_box_rejected(capsys):
     code, _, err = run(["sod", "a1-half", "--box", "-1"], capsys)
     assert code == 2
+
+
+def test_classify_takes_no_box(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["classify", "a1-half", "--box", "3"])
+    assert exc.value.code == 2
 
 
 def test_version_flag(capsys):

@@ -7,7 +7,6 @@ from torsod import (
     classify,
     induced_fibration,
     make_datum,
-    restriction_coefficients,
     sigma,
     sigma_alpha,
     weighted_sum,
@@ -123,13 +122,3 @@ def test_induced_fibration_multiplicities():
                    (1, 1, 0, -2), (2, 2, 1, 1))
     fib = induced_fibration(d)
     assert fib.s[0] * fib.t[2] == 2
-
-
-def test_restriction_coefficients():
-    d = make_datum(((1, 0, 0), (1, 2, 0), (0, 0, 1), (1, 1, 0)),
-                   (1, 1, 0, -2), (2, 2, 1, 1))
-    table = restriction_coefficients(d)
-    assert len(table.to_divisor) == d.n
-    assert len(table.to_fiber) == d.n - d.alpha
-    assert all(f.numerator == 1 for f in table.to_divisor)
-    assert all(f.numerator == 1 for f in table.to_fiber)

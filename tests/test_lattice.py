@@ -9,34 +9,33 @@ from torsod.lattice import (
     mat_mul,
     primitivize,
     quotient_project,
-    smith_normal_form,
     smith_normal_form_full,
     solve_integer,
 )
 
 
 def test_smith_normal_form_small():
-    u, d, v = smith_normal_form([[2, 0], [2, 4]])
+    u, d, v, _, _ = smith_normal_form_full([[2, 0], [2, 4]])
     assert diagonal_of(d) == [2, 4]
     assert mat_mul(mat_mul(u, [[2, 0], [2, 4]]), v) == d
 
 
 def test_smith_normal_form_divisibility_enforced():
     # naive pivoting would produce diag(2, 3); the chain forces diag(1, 6)
-    u, d, v = smith_normal_form([[2, 0], [0, 3]])
+    u, d, v, _, _ = smith_normal_form_full([[2, 0], [0, 3]])
     assert diagonal_of(d) == [1, 6]
 
 
 def test_smith_normal_form_documented_3x3():
     m = [[12, 6, 4], [3, 9, 6], [2, 16, 14]]
-    _, d, _ = smith_normal_form(m)
+    _, d, _, _, _ = smith_normal_form_full(m)
     assert diagonal_of(d) == [1, 10, 30]
 
 
 def test_smith_normal_form_rectangular_and_zero():
-    _, d, _ = smith_normal_form([[0, 0, 0]])
+    _, d, _, _, _ = smith_normal_form_full([[0, 0, 0]])
     assert diagonal_of(d) == [0]
-    _, d, _ = smith_normal_form([[4], [6]])
+    _, d, _, _, _ = smith_normal_form_full([[4], [6]])
     assert diagonal_of(d) == [2]
 
 
