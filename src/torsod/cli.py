@@ -308,7 +308,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_sod)
     box(p_sod, 6)
     p_sod.add_argument("--max-depth", type=int, default=64,
-                       help="generation recursion guard (default 64)")
+                       help="most Koszul descent steps the generation "
+                            "certificate may take (default 64)")
     p_sod.set_defaults(func=cmd_sod)
 
     p_oracle = sub.add_parser("oracle",

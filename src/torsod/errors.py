@@ -54,7 +54,7 @@ class OracleBoxError(TorsodError):
 
 
 class DepthExceeded(TorsodError):
-    """Generation recursion exceeded the configured depth guard."""
+    """A target's Koszul descent is longer than the configured depth bound."""
 
 
 class UnknownExample(TorsodError):

@@ -217,6 +217,17 @@ def datum_context(d: ExtractionDatum) -> DatumContext:
                         S_alpha=sum(c[:d.alpha]), C=-c[-1])
 
 
+def koszul_corners(alpha: int) -> list[tuple[int, ...]]:
+    """The Koszul corners: every subset of range(alpha), in bitmask order.
+
+    The subset at position p holds the set bits of p; the empty one is first.
+    """
+    corners = [()]
+    for i in range(alpha):
+        corners += [subset + (i,) for subset in corners]
+    return corners
+
+
 def relation_rows(d: ExtractionDatum, count: int) -> list[list[int]]:
     """The rows r_i v_i of the first ``count`` rays.
 

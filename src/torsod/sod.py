@@ -38,6 +38,7 @@ from .extraction import (
     classify,
     datum_context,
     induced_fibration,
+    koszul_corners,
     relation_rows,
     validate,
     weighted_sum_partial,
@@ -261,6 +262,14 @@ def extend_block_label(d: ExtractionDatum, label) -> tuple[int, ...]:
     return tuple(label) + (0,) * (d.n - d.alpha)
 
 
+def _shifted(label, subset) -> tuple[int, ...]:
+    """``label`` minus the indicator vector of the Koszul corner ``subset``."""
+    out = list(label)
+    for i in subset:
+        out[i] -= 1
+    return tuple(out)
+
+
 def transfer_is_invertible(ctx: DatumContext, k_local) -> bool:
     """Exact dichotomy: the fiber transfer of k_local is invertible or zero.
 
@@ -342,9 +351,7 @@ def fully_faithful_check(dec: Decomposition) -> FaithfulnessReport:
     )
 
     koszul = []
-    alpha = ctx.datum.alpha
-    for mask in range(1, 1 << alpha):
-        subset = tuple(i for i in range(alpha) if mask >> i & 1)
+    for subset in koszul_corners(ctx.datum.alpha)[1:]:
         part = sum(ctx.c[i] for i in subset)
         koszul.append((subset, Fraction(part, ctx.R), 0 < part < ctx.C))
 
@@ -387,17 +394,7 @@ def semiorthogonality_check(dec: Decomposition) -> SemiorthogonalityReport:
     d = ctx.datum
     n, alpha = d.n, d.alpha
     entries: list[OrthogonalityEntry] = []
-
-    def corners(include_empty):
-        start = 0 if include_empty else 1
-        for mask in range(start, 1 << alpha):
-            yield tuple(i for i in range(alpha) if mask >> i & 1)
-
-    def shifted(base, subset):
-        out = list(base)
-        for i in subset:
-            out[i] -= 1
-        return tuple(out)
+    corners = koszul_corners(alpha)
 
     for l in dec.spans:
         for b in dec.blocks:
@@ -418,8 +415,8 @@ def semiorthogonality_check(dec: Decomposition) -> SemiorthogonalityReport:
                          zip(extend_block_label(d, b.label),
                              extend_block_label(d, c.label)))
             if c.w > b.w:
-                for subset in corners(include_empty=True):
-                    lab = shifted(base, subset)
+                for subset in corners:
+                    lab = _shifted(base, subset)
                     entries.append(OrthogonalityEntry(
                         kind="block-block",
                         source=b.label, target=c.label, corner=subset,
@@ -433,8 +430,8 @@ def semiorthogonality_check(dec: Decomposition) -> SemiorthogonalityReport:
                     label=base,
                     certified=not ctx.tau.contains(base[:alpha]),
                     reason="lattice"))
-                for subset in corners(include_empty=False):
-                    lab = shifted(base, subset)
+                for subset in corners[1:]:
+                    lab = _shifted(base, subset)
                     entries.append(OrthogonalityEntry(
                         kind="equal-w",
                         source=b.label, target=c.label, corner=subset,
@@ -522,54 +519,66 @@ def generation_certificate(d: ExtractionDatum, targets,
     (-sigma_alpha, -sigma]; nonpositive w is a spanning leaf, positive w
     expands through the 2^alpha - 1 Koszul corners (same witness) plus one
     block leaf.  The coordinate sum strictly decreases toward the corners, so
-    the recursion terminates; nodes are shared across targets.
+    the descent terminates; nodes are shared across targets.
+
+    Every corner lowers W by at least m = min(c_i : i <= alpha), and the
+    corner e_i at that minimum lowers it by exactly m, so the longest descent
+    from a root with W_0 > 0 has exactly ceil(W_0 / m) steps.  That bound is
+    checked against ``max_depth`` for every target before any node is built.
     """
     ctx = _extraction_context(d)
     n, alpha = d.n, d.alpha
-    R = ctx.R
-    nodes: dict[tuple, CertificateNode] = {}
-
-    def build(label, witness, depth):
-        if depth > max_depth:
-            raise errors.DepthExceeded(
-                f"generation recursion exceeded depth {max_depth}")
-        ident = ("L", label, witness)
-        node = nodes.get(ident)
-        if node is not None:
-            return node.key
-        W = ctx.W(label) - ctx.C * witness
-        w = Fraction(W, R)
-        if W <= 0:
-            if not (-ctx.S_alpha < W):
-                raise AssertionError("spanning leaf outside its window")
-            node = CertificateNode(key=_node_key(*ident), label=label,
-                                   witness=witness, w=w, kind="span")
-        else:
-            if not (W <= -ctx.S):
-                raise AssertionError("koszul node outside its window")
-            # Children have a smaller coordinate sum, so they never revisit
-            # this node, and its block leaf is new along with it.
-            children = tuple(
-                build(tuple(label[i] - (mask >> i & 1) for i in range(n)),
-                      witness, depth + 1)
-                for mask in range(1, 1 << alpha))
-            bident = ("B", label, witness)
-            block = nodes[bident] = CertificateNode(
-                key=_node_key(*bident), label=label, witness=witness, w=w,
-                kind="block")
-            node = CertificateNode(
-                key=_node_key(*ident), label=label, witness=witness, w=w,
-                kind="koszul", children=children, block_key=block.key)
-        nodes[ident] = node
-        return node.key
-
+    R, C = ctx.R, ctx.C
     roots = []
     for target in targets:
         label = tuple(int(x) for x in target)
         if len(label) != n:
             raise ValueError(f"target label must have length {n}")
-        witness = _window_witness(ctx, label)
-        roots.append((label, build(label, witness, 0)))
+        roots.append((label, _window_witness(ctx, label)))
+    m = min(ctx.c[:alpha])   # ceil(W_0 / m) steps, none from a span root
+    if any(max(0, -(-(ctx.W(label) - C * witness) // m)) > max_depth
+           for label, witness in roots):
+        raise errors.DepthExceeded(
+            f"generation recursion exceeded depth {max_depth}")
+
+    corners = koszul_corners(alpha)[1:]
+    nodes: dict[tuple, CertificateNode] = {}
+    for pos, (root, witness) in enumerate(roots):
+        # A koszul node is popped twice: first to push its corners, then,
+        # with every corner built, to be built itself.  Corners have a smaller
+        # coordinate sum, so they never lead back to a node on the stack.
+        stack = [(root, None)]
+        while stack:
+            label, kids = stack.pop()
+            ident = ("L", label, witness)
+            if kids is None and ident in nodes:
+                continue
+            W = ctx.W(label) - C * witness
+            if W <= 0:
+                if not (-ctx.S_alpha < W):
+                    raise AssertionError("spanning leaf outside its window")
+                nodes[ident] = CertificateNode(
+                    key=_node_key(*ident), label=label, witness=witness,
+                    w=Fraction(W, R), kind="span")
+            elif kids is None:
+                if not (W <= -ctx.S):
+                    raise AssertionError("koszul node outside its window")
+                kids = [_shifted(label, subset) for subset in corners]
+                stack.append((label, kids))
+                stack.extend((kid, None) for kid in kids)
+            else:
+                w = Fraction(W, R)
+                bident = ("B", label, witness)
+                block = nodes[bident] = CertificateNode(
+                    key=_node_key(*bident), label=label, witness=witness,
+                    w=w, kind="block")
+                nodes[ident] = CertificateNode(
+                    key=_node_key(*ident), label=label, witness=witness, w=w,
+                    kind="koszul",
+                    children=tuple(nodes["L", kid, witness].key
+                                   for kid in kids),
+                    block_key=block.key)
+        roots[pos] = (root, nodes["L", root, witness].key)
     ordered = tuple(sorted(nodes.values(), key=lambda nd: nd.key))
     return GenerationCertificate(targets=tuple(roots), nodes=ordered)
 
@@ -586,12 +595,20 @@ def verify_certificate(d: ExtractionDatum,
 
     Checks node windows against recomputed w, witness windows at the roots,
     exact Koszul corner sets with inherited witnesses, block leaves matching
-    their Koszul parents, the strictly decreasing coordinate-sum measure, and
-    acyclicity.  Purely combinatorial; the Euler-characteristic replay against
-    the cohomology oracle lives in the model layer.
+    their Koszul parents and the strictly decreasing coordinate-sum measure.
+    Purely combinatorial; the Euler-characteristic replay against the
+    cohomology oracle lives in the model layer.
+
+    Acyclicity needs no search of its own, because every cycle comes with
+    another violation.  A span or block node with edges is LEAF_CHILDREN, and
+    a node of another kind or label length is BAD_KIND or BAD_LABEL, so a
+    cycle without those runs through koszul nodes only.  A child edge that
+    passes MEASURE lowers the coordinate sum, and a block edge that passes
+    BLOCK_MISMATCH ends at a block node, which has no edges.
     """
     ctx = _extraction_context(d)
-    n, alpha = d.n, d.alpha
+    n = d.n
+    corners = koszul_corners(d.alpha)[1:]
     R, Sa, S = ctx.R, ctx.S_alpha, ctx.S
     violations: list[tuple[str, str, str]] = []
     node_map: dict[str, CertificateNode] = {}
@@ -629,11 +646,8 @@ def verify_certificate(d: ExtractionDatum,
             if not (0 < W <= -S):
                 violations.append(("NODE_WINDOW", node.key,
                                    f"w = {Fraction(W, R)}"))
-            expected = []
-            for mask in range(1, 1 << alpha):
-                child = tuple(node.label[i] - (mask >> i & 1)
-                              for i in range(n))
-                expected.append((child, node.witness))
+            expected = [(_shifted(node.label, subset), node.witness)
+                        for subset in corners]
             got = []
             for ckey in node.children:
                 child = node_map.get(ckey)
@@ -672,37 +686,6 @@ def verify_certificate(d: ExtractionDatum,
         if not (-Sa < W <= -S):
             violations.append(("WITNESS_WINDOW", root_key,
                                f"w = {Fraction(W, R)}"))
-
-    # Cycle detection over the child/block edges.
-    WHITE, GREY, BLACK = 0, 1, 2
-    color = {key: WHITE for key in node_map}
-
-    def edges(node):
-        yield from node.children
-        if node.block_key:
-            yield node.block_key
-
-    for start in sorted(node_map):
-        if color[start] != WHITE:
-            continue
-        stack = [(start, iter(edges(node_map[start])))]
-        color[start] = GREY
-        while stack:
-            key, it = stack[-1]
-            advanced = False
-            for nxt in it:
-                if nxt not in node_map:
-                    continue
-                if color[nxt] == GREY:
-                    violations.append(("CYCLE", nxt, "reachable from itself"))
-                elif color[nxt] == WHITE:
-                    color[nxt] = GREY
-                    stack.append((nxt, iter(edges(node_map[nxt]))))
-                    advanced = True
-                    break
-            if not advanced:
-                color[key] = BLACK
-                stack.pop()
 
     return CertificateVerification(ok=not violations,
                                    violations=tuple(violations))

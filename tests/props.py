@@ -5,6 +5,7 @@ as plain functions lets other tests reuse the same properties at a smaller
 budget without duplicating the strategies.
 """
 
+from dataclasses import replace
 from fractions import Fraction
 from math import ceil, gcd
 
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from torsod import (
+    GenerationCertificate,
     canned_example,
     generation_certificate,
     make_datum,
@@ -22,6 +24,7 @@ from torsod import (
     weighted_sum,
     weighted_sum_partial,
 )
+from torsod.errors import DepthExceeded
 from torsod.extraction import datum_context
 from torsod.lattice import (
     cokernel,
@@ -218,8 +221,81 @@ def run_weighted_sum_properties(max_examples):
     check()
 
 
+def ref_has_cycle(cert):
+    """Reference: whether some node of ``cert`` is reachable from itself.
+
+    A white/grey/black depth-first search over the child and block edges;
+    edges to absent keys are skipped.  ``verify_certificate`` runs no such
+    search, because a cycle always comes with another violation.
+    """
+    node_map = cert.node_map()
+    WHITE, GREY, BLACK = 0, 1, 2
+    color = dict.fromkeys(node_map, WHITE)
+
+    def edges(key):
+        node = node_map[key]
+        out = node.children + ((node.block_key,) if node.block_key else ())
+        return iter([k for k in out if k in node_map])
+
+    for start in node_map:
+        if color[start] != WHITE:
+            continue
+        color[start] = GREY
+        stack = [(start, edges(start))]
+        while stack:
+            key, it = stack[-1]
+            for nxt in it:
+                if color[nxt] == GREY:
+                    return True
+                if color[nxt] == WHITE:
+                    color[nxt] = GREY
+                    stack.append((nxt, edges(nxt)))
+                    break
+            else:
+                color[key] = BLACK
+                stack.pop()
+    return False
+
+
+def ref_longest_descent(cert):
+    """Reference: the most child edges on one path of a verified ``cert``.
+
+    Children have a smaller coordinate sum, so visiting nodes by increasing
+    sum finds every child's height before its parent's.
+    """
+    height = {}
+    for node in sorted(cert.nodes, key=lambda nd: sum(nd.label)):
+        height[node.key] = max((height[c] + 1 for c in node.children),
+                               default=0)
+    return max(height.values(), default=0)
+
+
+def _tamper(rng, cert):
+    """Redraw the children, block key or kind of one to three nodes."""
+    keys = [node.key for node in cert.nodes]
+    nodes = list(cert.nodes)
+    for _ in range(rng.randint(1, 3)):
+        pos = rng.randrange(len(nodes))
+        node = nodes[pos]
+        field = rng.choice(("children", "block_key", "kind"))
+        if field == "children":
+            children = list(node.children) or [node.key]
+            children[rng.randrange(len(children))] = rng.choice(keys)
+            change = tuple(children)
+        elif field == "block_key":
+            change = rng.choice(keys + [None])
+        else:
+            change = rng.choice(("span", "koszul", "block"))
+        nodes[pos] = replace(node, **{field: change})
+    return GenerationCertificate(targets=cert.targets, nodes=tuple(nodes))
+
+
 def run_certificate_roundtrip_properties(max_examples):
-    """Serialize/parse a generation certificate and re-verify it."""
+    """Serialize/parse a generation certificate and re-verify it.
+
+    The depth guard refuses exactly the certificates whose longest descent
+    exceeds it, and a tampered certificate that verifies has no cycle.
+    """
 
     names = ["a1-half", "a2-third", "a1-half-line"]
     data_cache = {name: canned_example(name).datum for name in names}
@@ -237,6 +313,15 @@ def run_certificate_roundtrip_properties(max_examples):
         assert back == cert
         verdict = verify_certificate(d, back)
         assert verdict.ok, verdict.violations
+
+        depth = ref_longest_descent(cert)
+        assert generation_certificate(d, targets, max_depth=depth) == cert
+        with pytest.raises(DepthExceeded):
+            generation_certificate(d, targets, max_depth=depth - 1)
+
+        tampered = _tamper(data.draw(st.randoms(use_true_random=False)), cert)
+        if verify_certificate(d, tampered).ok:
+            assert not ref_has_cycle(tampered)
 
     check()
 

@@ -4,7 +4,7 @@ import pytest
 
 from torsod.cli import main
 from torsod.serialize import canonical_json_bytes, datum_to_obj, fan_to_obj
-from torsod import canned_example, canned_fan, lattice, sod
+from torsod import canned_example, canned_fan, lattice, make_datum, sod
 
 
 def run(argv, capsys):
@@ -202,6 +202,27 @@ def test_schema_error_in_fan_file(tmp_path, capsys):
         {"lattice_rank": 1, "rays": [{"v": [1], "r": 1}]}))
     code, _, err = run(["oracle", str(path)], capsys)
     assert code == 2
+
+
+def test_sod_max_depth_guard(capsys):
+    # a2-third's longest Koszul descent at box 6 has 6 steps
+    code, _, err = run(["sod", "a2-third", "--max-depth", "5"], capsys)
+    assert code == 2
+    assert err == "error: generation recursion exceeded depth 5\n"
+    code, _, _ = run(["sod", "a2-third", "--max-depth", "6"], capsys)
+    assert code == 0
+
+
+def test_sod_max_depth_bounds_every_target(tmp_path, capsys):
+    # The target (0, 1) descends two steps; the refusal does not depend on
+    # which target the box lists first.
+    datum = make_datum(((1, 0), (0, 1), (1, 1)), (1, 1, -1), (4, 3, 1))
+    path = tmp_path / "datum.json"
+    path.write_bytes(canonical_json_bytes(datum_to_obj(datum)))
+    code, _, err = run(["sod", str(path), "--box", "2", "--max-depth", "1"],
+                       capsys)
+    assert code == 2
+    assert err == "error: generation recursion exceeded depth 1\n"
 
 
 def test_negative_box_rejected(capsys):

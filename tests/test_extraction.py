@@ -21,6 +21,7 @@ from torsod.errors import (
     SchemaError,
     SignPattern,
 )
+from torsod.extraction import koszul_corners
 
 
 def half_datum(orders=(2, 2, 1)):
@@ -122,3 +123,12 @@ def test_induced_fibration_multiplicities():
                    (1, 1, 0, -2), (2, 2, 1, 1))
     fib = induced_fibration(d)
     assert fib.s[0] * fib.t[2] == 2
+
+
+def test_koszul_corners_in_bitmask_order():
+    assert koszul_corners(0) == [()]
+    assert koszul_corners(2) == [(), (0,), (1,), (0, 1)]
+    for alpha in range(1, 6):
+        assert koszul_corners(alpha) == [
+            tuple(i for i in range(alpha) if mask >> i & 1)
+            for mask in range(1 << alpha)]

@@ -1,10 +1,12 @@
+import sys
 from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 
 import pytest
 
-from props import ref_vanishes, ref_window_witness
+from props import (ref_has_cycle, ref_longest_descent, ref_vanishes,
+                   ref_window_witness)
 from torsod import (
     GenerationCertificate,
     SpanningClass,
@@ -16,6 +18,7 @@ from torsod import (
     fully_faithful_check,
     generation_certificate,
     generator_count_identity,
+    make_datum,
     semiorthogonality_check,
     sigma,
     sigma_alpha,
@@ -25,7 +28,7 @@ from torsod import (
     weighted_sum,
     weighted_sum_partial,
 )
-from torsod.errors import RequiresExtraction
+from torsod.errors import DepthExceeded, RequiresExtraction
 from torsod.extraction import datum_context
 
 
@@ -371,13 +374,13 @@ def test_verify_rejects_corner_set(a1_half):
 
 
 def test_verify_rejects_measure_and_cycle(a1_half):
+    # A self-loop is a cycle, and the edge closing it fails MEASURE.
     cert = small_cert(a1_half)
     root = cert.node_map()["L|1,1|0"]
     children = root.children[:-1] + ("L|1,1|0",)
     bad = swap_node(cert, "L|1,1|0", children=children)
-    codes = codes_of(a1_half.datum, bad)
-    assert "MEASURE" in codes
-    assert "CYCLE" in codes
+    assert ref_has_cycle(bad)
+    assert "MEASURE" in codes_of(a1_half.datum, bad)
 
 
 def test_verify_rejects_block_mismatch(a1_half):
@@ -426,3 +429,40 @@ def test_certificates_verify_on_catalog(extraction_pairs):
                 assert node.w <= 0
             else:
                 assert node.w > 0
+
+
+# ---------------------------------------------------------------------------
+# Depth guard
+
+
+def _frame_depth():
+    frame, depth = sys._getframe(1), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+def test_depth_guard_ignores_target_order():
+    # (0, 1) descends 2 steps and (-1, 1) one step.  Every order is refused
+    # at max_depth 1 and built at max_depth 2.
+    d = make_datum(((1, 0), (0, 1), (1, 1)), (1, 1, -1), (4, 3, 1))
+    for targets in ([(0, 1)], [(-1, 1), (0, 1)], [(0, 1), (-1, 1)]):
+        with pytest.raises(DepthExceeded,
+                           match="generation recursion exceeded depth 1"):
+            generation_certificate(d, targets, max_depth=1)
+        cert = generation_certificate(d, targets, max_depth=2)
+        assert ref_longest_descent(cert) == 2
+
+
+def test_deep_descent_needs_no_recursion():
+    # A 78-step descent builds with only 60 frames of headroom.
+    d = make_datum(((1, 0), (1, 2), (1, 1)), (1, 1, -2), (40, 40, 1))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_frame_depth() + 60)
+    try:
+        cert = generation_certificate(d, [(158, 0)], max_depth=78)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert len(cert.nodes) == 6319
+    assert ref_longest_descent(cert) == 78
+    assert verify_certificate(d, cert).ok
