@@ -30,10 +30,8 @@ from .errors import (
 from .extraction import (
     BirationalClass,
     ExtractionDatum,
-    FibrationDatum,
     MorphismKind,
     classify,
-    induced_fibration,
     make_datum,
     sigma,
     sigma_alpha,

@@ -112,6 +112,12 @@ def cmd_classify(args) -> int:
 
 def cmd_sod(args) -> int:
     name, datum, _, digest = _load_datum(args.model)
+    # The certificate refuses an over-deep descent before any enumeration.
+    bound = args.box
+    targets = list(product(range(-bound, bound + 1), repeat=datum.n))
+    cert = sod.generation_certificate(datum, targets,
+                                      max_depth=args.max_depth)
+    verdict = sod.verify_certificate(datum, cert)
     checks = []
 
     cls = classify(datum)
@@ -168,11 +174,6 @@ def cmd_sod(args) -> int:
                     "label": _fmt_label(e.label), "reason": e.reason}
                    for e in ortho.entries if not e.certified)))
 
-    bound = args.box
-    targets = list(product(range(-bound, bound + 1), repeat=datum.n))
-    cert = sod.generation_certificate(datum, targets,
-                                      max_depth=args.max_depth)
-    verdict = sod.verify_certificate(datum, cert)
     checks.append(report.Check(
         name="generation-certificate", ok=verdict.ok,
         summary=f"{len(targets)} targets, {len(cert.nodes)} nodes, "

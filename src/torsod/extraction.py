@@ -237,84 +237,3 @@ def relation_rows(d: ExtractionDatum, count: int) -> list[list[int]]:
     """
     return [[d.orders[i] * x for x in d.rays[i]] for i in range(count)]
 
-
-@dataclass(frozen=True)
-class FibrationDatum:
-    """Combinatorics of the exceptional divisor fibered over its center.
-
-    The divisor lattice is N_D = N / Z v_{n+1} and the fiber lattice is the
-    further quotient N_F = N_D / saturation(span of the projected first alpha
-    rays).  Each original ray maps to a multiple of a primitive vector; the
-    multiplicities t_i (into N_D) and s_i (from N_D to N_F) record how much
-    stack structure the fibration direction absorbs.
-    """
-
-    datum: ExtractionDatum
-    proj_xd: lattice.LatticeProjection       # N -> N_D
-    proj_df: lattice.LatticeProjection       # N_D -> N_F
-    rays_d: tuple[tuple[int, ...], ...]      # primitive images of v_1..v_n in N_D
-    t: tuple[int, ...]                       # multiplicities into N_D, i = 1..n
-    rays_f: tuple[tuple[int, ...], ...]      # primitive images in N_F, i = alpha+1..n
-    s: tuple[int, ...]                       # multiplicities N_D -> N_F, i = alpha+1..n
-    t_base: int                              # gcd of a_i t_i over i <= alpha
-    reduced_coefficients: tuple[int, ...]    # a_i t_i / t_base, i = 1..alpha
-
-
-def induced_fibration(d: ExtractionDatum) -> FibrationDatum:
-    """Project out the exceptional ray and then the fiber directions.
-
-    Checks along the way: every projected ray is nonzero, the reduced
-    relation sum(abar_i * vbar_i) = 0 holds in N_D with coprime reduced
-    coefficients, and alpha >= 2 (a single positive coefficient would force
-    two original rays to coincide).
-    """
-    validate(d)
-    n, alpha = d.n, d.alpha
-    if alpha < 2:
-        raise errors.DegenerateDatum(
-            "alpha = 1 is impossible for distinct primitive rays")
-
-    proj_xd = lattice.quotient_project(n, [d.exceptional_ray], saturate=True)
-    rays_d, t = [], []
-    for i in range(n):
-        image = proj_xd.apply(d.rays[i])
-        prim, mult = lattice.primitivize(image)  # nonzero: v_i independent of v_{n+1}
-        rays_d.append(prim)
-        t.append(mult)
-
-    t_base = 0
-    for i in range(alpha):
-        t_base = gcd(t_base, d.coefficients[i] * t[i])
-    reduced = tuple(d.coefficients[i] * t[i] // t_base for i in range(alpha))
-
-    # Reduced relation in N_D: the a_i v_i relation descends because the
-    # exceptional term is exactly what got quotiented out.
-    for j in range(n - 1):
-        acc = sum(reduced[i] * rays_d[i][j] for i in range(alpha))
-        if acc != 0:
-            raise errors.RelationViolated(
-                "reduced relation fails in the divisor lattice")
-
-    proj_df = lattice.quotient_project(
-        n - 1, [rays_d[i] for i in range(alpha)], saturate=True)
-    if proj_df.target_rank != n - alpha:
-        raise errors.DegenerateDatum(
-            "projected fiber rays do not span the expected rank")
-    rays_f, s = [], []
-    for i in range(alpha, n):
-        image = proj_df.apply(rays_d[i])
-        prim, mult = lattice.primitivize(image)
-        rays_f.append(prim)
-        s.append(mult)
-
-    return FibrationDatum(
-        datum=d,
-        proj_xd=proj_xd,
-        proj_df=proj_df,
-        rays_d=tuple(rays_d),
-        t=tuple(t),
-        rays_f=tuple(rays_f),
-        s=tuple(s),
-        t_base=t_base,
-        reduced_coefficients=reduced,
-    )

@@ -54,10 +54,10 @@ def primitivize(vec) -> tuple[Vector, int]:
 
 
 class _SnfWork:
-    """Row/column reduction workspace tracking U, V and their inverses.
+    """Row/column reduction workspace tracking U, V and U^-1.
 
     Invariant maintained by every elementary operation:
-        u @ original @ v == d,   uinv == u^-1,   vinv == v^-1.
+        u @ original @ v == d,   uinv == u^-1.
     """
 
     def __init__(self, mat: Matrix):
@@ -69,7 +69,6 @@ class _SnfWork:
         self.u = identity_matrix(self.nrows)
         self.uinv = identity_matrix(self.nrows)
         self.v = identity_matrix(self.ncols)
-        self.vinv = identity_matrix(self.ncols)
 
     # -- elementary row operations (left multiplication) ------------------
 
@@ -107,7 +106,6 @@ class _SnfWork:
             row[i], row[j] = row[j], row[i]
         for row in self.v:
             row[i], row[j] = row[j], row[i]
-        self.vinv[i], self.vinv[j] = self.vinv[j], self.vinv[i]
 
     def col_add(self, j, i, c):
         # col_j += c * col_i
@@ -116,16 +114,12 @@ class _SnfWork:
         for mat in (self.d, self.v):
             for row in mat:
                 row[j] += c * row[i]
-        ri, rj = self.vinv[i], self.vinv[j]
-        for k in range(len(ri)):
-            ri[k] -= c * rj[k]
 
     def col_negate(self, i):
         for row in self.d:
             row[i] = -row[i]
         for row in self.v:
             row[i] = -row[i]
-        self.vinv[i] = [-x for x in self.vinv[i]]
 
     # -- reduction ---------------------------------------------------------
 
@@ -193,16 +187,16 @@ class _SnfWork:
 
 
 def smith_normal_form_full(mat: Matrix):
-    """Smith normal form with transforms and their inverses.
+    """Smith normal form with its transforms and the inverse of U.
 
-    Returns (U, D, V, Uinv, Vinv) with U @ mat @ V == D, U and V unimodular,
+    Returns (U, D, V, Uinv) with U @ mat @ V == D, U and V unimodular,
     and D diagonal with nonnegative entries satisfying d_1 | d_2 | ... .
     Pivots are chosen deterministically (smallest absolute value, ties in
     row-major order), so identical inputs yield bit-identical transforms.
     """
     work = _SnfWork(mat)
     work.diagonalize()
-    return work.u, work.d, work.v, work.uinv, work.vinv
+    return work.u, work.d, work.v, work.uinv
 
 
 def diagonal_of(d: Matrix) -> list[int]:
@@ -234,6 +228,17 @@ def determinant(mat: Matrix) -> int:
             a[i][k] = 0
         prev = a[k][k]
     return sign * a[n - 1][n - 1]
+
+
+def solve_rational(mat: Matrix, rhs) -> tuple[Fraction, ...] | None:
+    """The unique x with mat @ x == rhs by Cramer's rule; None if det(mat) == 0."""
+    det = determinant(mat)
+    if det == 0:
+        return None
+    return tuple(
+        Fraction(determinant([[*row[:j], b, *row[j + 1:]]
+                              for row, b in zip(mat, rhs)]), det)
+        for j in range(len(mat)))
 
 
 def rank_q(mat: Matrix) -> int:
@@ -270,7 +275,7 @@ def integer_kernel(mat: Matrix) -> list[Vector]:
         return []
     if not mat:
         return [tuple(row) for row in identity_matrix(ncols)]
-    _, d, v, _, _ = smith_normal_form_full(mat)
+    _, d, v, _ = smith_normal_form_full(mat)
     diag = diagonal_of(d)
     s = sum(1 for x in diag if x)
     return [tuple(v[i][j] for i in range(ncols)) for j in range(s, ncols)]
@@ -284,7 +289,7 @@ def solve_integer(mat: Matrix, rhs) -> Vector | None:
         raise ValueError("rhs length does not match the matrix")
     if not mat:
         return ()
-    u, d, v, _, _ = smith_normal_form_full(mat)
+    u, d, v, _ = smith_normal_form_full(mat)
     y = mat_vec(u, list(rhs))
     diag = diagonal_of(d)
     z = [0] * ncols
@@ -336,7 +341,7 @@ def quotient_project(rank: int, kernel_gens, saturate: bool = True) -> LatticePr
         eye = identity_matrix(rank)
         return LatticeProjection(rank, rank, tuple(tuple(r) for r in eye), ())
     cols = transpose(gens)  # rank x len(gens); columns are the generators
-    u, d, _, uinv, _ = smith_normal_form_full(cols)
+    u, d, _, uinv = smith_normal_form_full(cols)
     diag = diagonal_of(d)
     s = sum(1 for x in diag if x)
     if not saturate:
@@ -423,7 +428,7 @@ class AbelianGroup:
 def cokernel(mat: Matrix) -> AbelianGroup:
     """Cokernel Z^p / (column span) of a p x q integer matrix."""
     p = len(mat)
-    u, d, _, uinv, _ = smith_normal_form_full(mat)
+    u, d, _, uinv = smith_normal_form_full(mat)
     diag = [x for x in diagonal_of(d) if x]
     invariant = tuple(x for x in diag if x >= 2)
     return AbelianGroup(

@@ -10,7 +10,6 @@ every combinatorial claim of the decomposition against brute-force cohomology.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product
 from math import gcd, lcm
 
@@ -187,17 +186,9 @@ def _validate_pair(pair: ModelPair) -> None:
 
 
 def _cone_coordinates(fan: StackyFan, cone, vector):
-    """Exact barycentric-style coordinates of ``vector`` in a simplicial cone."""
-    rows = [list(fan.rays[j]) for j in cone]
-    cols = lattice.transpose(rows)
-    det = lattice.determinant(cols)
-    coords = []
-    for pos in range(len(cone)):
-        replaced = [rows[j] if j != pos else list(vector)
-                    for j in range(len(cone))]
-        num = lattice.determinant(lattice.transpose(replaced))
-        coords.append(Fraction(num, det))
-    return coords
+    """Exact coordinates of ``vector`` in the rays of a simplicial cone."""
+    return lattice.solve_rational(
+        lattice.transpose([list(fan.rays[j]) for j in cone]), vector)
 
 
 def datum_from_fans(fan_x: StackyFan, fan_y: StackyFan,

@@ -16,7 +16,6 @@ checked once per fan before any scan.  All arithmetic is exact.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
 from math import ceil, floor
@@ -200,16 +199,9 @@ def _arrangement_vertices(fan: StackyFan, k):
     for subset in combinations(range(len(fan.rays)), d):
         rows = [[fan.orders[j] * fan.rays[j][i] for i in range(d)]
                 for j in subset]
-        det = lattice.determinant(rows)
-        if det == 0:
-            continue
-        # Cramer's rule, exact.
-        vert = []
-        for col in range(d):
-            mod = [row[:col] + [-k[j]] + row[col + 1:]
-                   for row, j in zip(rows, subset)]
-            vert.append(Fraction(lattice.determinant(mod), det))
-        verts.append(tuple(vert))
+        vert = lattice.solve_rational(rows, [-k[j] for j in subset])
+        if vert is not None:
+            verts.append(vert)
     return verts
 
 
@@ -346,19 +338,11 @@ def check_complete(fan: StackyFan) -> bool:
     point = _generic_point(d, normals)
     inside = 0
     for cone in fan.max_cones:
-        cols = [list(fan.rays[j]) for j in cone]
-        det = lattice.determinant(lattice.transpose(cols))
-        if det == 0:
+        coords = lattice.solve_rational(
+            lattice.transpose([list(fan.rays[j]) for j in cone]), point)
+        if coords is None:
             return False
-        ok = True
-        for pos in range(d):
-            replaced = [list(fan.rays[cone[j]]) if j != pos else list(point)
-                        for j in range(d)]
-            num = lattice.determinant(lattice.transpose(replaced))
-            if num * det <= 0:
-                ok = False
-                break
-        if ok:
+        if all(x > 0 for x in coords):
             inside += 1
     return inside == 1
 

@@ -210,3 +210,5 @@ def load_json(path: str):
         return json.loads(data), data
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise errors.SchemaError(f"{path}: invalid JSON ({exc})") from None
+    except RecursionError:
+        raise errors.SchemaError(f"{path}: JSON nested too deeply") from None

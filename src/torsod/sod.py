@@ -37,7 +37,6 @@ from .extraction import (
     MorphismKind,
     classify,
     datum_context,
-    induced_fibration,
     koszul_corners,
     relation_rows,
     validate,
@@ -449,17 +448,24 @@ def generator_count_identity(dec: Decomposition):
     The left side is the order of the local class group of the base cone,
     |det(r_i v_i)| over i <= n; each block contributes the order of the local
     fiber class group.  Returns (lhs, rhs, parts) for reporting.
+
+    The fiber lattice is N_F = N / sat(span(v_1..v_alpha)).  The ray
+    v_{n+1} lies in the rational span of v_1..v_alpha, so dividing N by
+    Z v_{n+1} and then by the saturated span of the images of v_1..v_alpha
+    is the one saturated quotient pi: N -> N_F.  Fiber ray i (alpha < i <= n)
+    is the primitive vector along pi(v_i), with order r_i times the
+    multiplicity of pi(v_i), so the fiber class group has order
+    |det(r_i pi(v_i))|: the empty determinant 1 when alpha = n.  Another
+    basis of N_F changes pi by a unimodular matrix, which leaves |det|
+    unchanged.
     """
     d = dec.ctx.datum
     n, alpha = d.n, d.alpha
     lhs = abs(lattice.determinant(relation_rows(d, n)))
-    fib = induced_fibration(d)
-    if alpha == n:
-        fiber_order = 1
-    else:
-        rows = [[d.orders[i] * fib.s[i - alpha] * fib.t[i] * fib.rays_f[i - alpha][j]
-                 for j in range(n - alpha)] for i in range(alpha, n)]
-        fiber_order = abs(lattice.determinant(rows))
+    proj = lattice.quotient_project(n, d.rays[:alpha])
+    fiber_order = abs(lattice.determinant(
+        [[d.orders[i] * x for x in proj.apply(d.rays[i])]
+         for i in range(alpha, n)]))
     n_span, n_blocks = len(dec.spans), len(dec.blocks)
     rhs = n_span + n_blocks * fiber_order
     return lhs, rhs, {"spanning": n_span, "blocks": n_blocks,

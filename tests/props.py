@@ -34,6 +34,7 @@ from torsod.lattice import (
     primitivize,
     quotient_project,
     smith_normal_form_full,
+    solve_rational,
 )
 from torsod.serialize import certificate_from_obj, certificate_to_obj
 from torsod.sod import _vanishes, _window_witness
@@ -55,18 +56,28 @@ def _matrices(draw, max_dim=5):
 
 
 def run_snf_properties(max_examples):
-    """U m V == D with unimodular tracked transforms and divisor chain."""
+    """U m V == D with unimodular tracked transforms and divisor chain.
+
+    A square matrix also gets a rational solve: None exactly when it is
+    singular, otherwise a true solution.
+    """
 
     @_settings(max_examples)
-    @given(mat=_matrices())
-    def check(mat):
+    @given(mat=_matrices(), data=st.data())
+    def check(mat, data):
         rows, cols = len(mat), len(mat[0])
-        u, d, v, uinv, vinv = smith_normal_form_full(mat)
+        u, d, v, uinv = smith_normal_form_full(mat)
         assert mat_mul(mat_mul(u, mat), v) == d
         assert abs(determinant(u)) == 1
         assert abs(determinant(v)) == 1
         assert mat_mul(u, uinv) == identity_matrix(rows)
-        assert mat_mul(v, vinv) == identity_matrix(cols)
+        if rows == cols:
+            rhs = [data.draw(_entries) for _ in range(rows)]
+            sol = solve_rational(mat, rhs)
+            assert (sol is None) == (determinant(mat) == 0)
+            if sol is not None:
+                assert [sum(a * b for a, b in zip(row, sol))
+                        for row in mat] == rhs
         diag = [d[i][i] for i in range(min(rows, cols))]
         assert all(x >= 0 for x in diag)
         for a, b in zip(diag, diag[1:]):

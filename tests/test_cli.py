@@ -225,6 +225,28 @@ def test_sod_max_depth_bounds_every_target(tmp_path, capsys):
     assert err == "error: generation recursion exceeded depth 1\n"
 
 
+def test_sod_refuses_depth_before_enumerating(tmp_path, capsys,
+                                              monkeypatch):
+    datum = make_datum(((1, 0), (1, 2), (1, 1)), (1, 1, -2), (10, 10, 1))
+    path = tmp_path / "datum.json"
+    path.write_bytes(canonical_json_bytes(datum_to_obj(datum)))
+
+    def refuse(d):
+        raise AssertionError("decompose ran before the depth refusal")
+    monkeypatch.setattr(sod, "decompose", refuse)
+    code, _, err = run(["sod", str(path), "--max-depth", "1"], capsys)
+    assert code == 2
+    assert err == "error: generation recursion exceeded depth 1\n"
+
+
+def test_deeply_nested_json_is_invalid(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200_000)
+    code, _, err = run(["classify", str(path)], capsys)
+    assert code == 2
+    assert err == f"error: {path}: JSON nested too deeply\n"
+
+
 def test_negative_box_rejected(capsys):
     code, _, err = run(["sod", "a1-half", "--box", "-1"], capsys)
     assert code == 2

@@ -5,7 +5,6 @@ import pytest
 from torsod import (
     MorphismKind,
     classify,
-    induced_fibration,
     make_datum,
     sigma,
     sigma_alpha,
@@ -103,26 +102,6 @@ def test_weighted_sum():
     assert weighted_sum_partial(d, (3,)) == Fraction(3, 2)
     with pytest.raises(ValueError):
         weighted_sum(d, (1, 1))
-
-
-def test_induced_fibration_line_center():
-    d = make_datum(((1, 0, 0), (1, 2, 0), (0, 0, 1), (1, 1, 0)),
-                   (1, 1, 0, -2), (2, 2, 1, 1))
-    fib = induced_fibration(d)
-    # the divisor lattice has rank n - 1 = 2, the fiber lattice rank 1
-    assert fib.proj_xd.target_rank == 2
-    assert fib.proj_df.target_rank == 1
-    assert fib.t_base == 1
-    assert fib.reduced_coefficients == (1, 1)
-    assert len(fib.rays_f) == d.n - d.alpha == 1
-
-
-def test_induced_fibration_multiplicities():
-    # third local ray hits the fiber direction with composite multiplicity 2
-    d = make_datum(((1, 0, 0), (1, 2, 0), (1, 1, 2), (1, 1, 0)),
-                   (1, 1, 0, -2), (2, 2, 1, 1))
-    fib = induced_fibration(d)
-    assert fib.s[0] * fib.t[2] == 2
 
 
 def test_koszul_corners_in_bitmask_order():

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from torsod.lattice import (
@@ -11,39 +13,40 @@ from torsod.lattice import (
     quotient_project,
     smith_normal_form_full,
     solve_integer,
+    solve_rational,
 )
 
 
 def test_smith_normal_form_small():
-    u, d, v, _, _ = smith_normal_form_full([[2, 0], [2, 4]])
+    u, d, v, _ = smith_normal_form_full([[2, 0], [2, 4]])
     assert diagonal_of(d) == [2, 4]
     assert mat_mul(mat_mul(u, [[2, 0], [2, 4]]), v) == d
 
 
 def test_smith_normal_form_divisibility_enforced():
     # naive pivoting would produce diag(2, 3); the chain forces diag(1, 6)
-    u, d, v, _, _ = smith_normal_form_full([[2, 0], [0, 3]])
+    u, d, v, _ = smith_normal_form_full([[2, 0], [0, 3]])
     assert diagonal_of(d) == [1, 6]
 
 
 def test_smith_normal_form_documented_3x3():
     m = [[12, 6, 4], [3, 9, 6], [2, 16, 14]]
-    _, d, _, _, _ = smith_normal_form_full(m)
+    _, d, _, _ = smith_normal_form_full(m)
     assert diagonal_of(d) == [1, 10, 30]
 
 
 def test_smith_normal_form_rectangular_and_zero():
-    _, d, _, _, _ = smith_normal_form_full([[0, 0, 0]])
+    _, d, _, _ = smith_normal_form_full([[0, 0, 0]])
     assert diagonal_of(d) == [0]
-    _, d, _, _, _ = smith_normal_form_full([[4], [6]])
+    _, d, _, _ = smith_normal_form_full([[4], [6]])
     assert diagonal_of(d) == [2]
 
 
 def test_smith_full_inverses():
     m = [[5, 3], [1, 1]]
-    u, d, v, uinv, vinv = smith_normal_form_full(m)
+    u, d, v, uinv = smith_normal_form_full(m)
     assert mat_mul(u, uinv) == [[1, 0], [0, 1]]
-    assert mat_mul(vinv, v) == [[1, 0], [0, 1]]
+    assert abs(determinant(v)) == 1
     assert mat_mul(mat_mul(u, m), v) == d
 
 
@@ -53,6 +56,13 @@ def test_determinant():
     assert determinant([[1]]) == 1
     with pytest.raises(ValueError):
         determinant([[1, 2, 3], [4, 5, 6]])
+
+
+def test_solve_rational():
+    assert solve_rational([[2, 1], [1, 3]], [1, 2]) == (Fraction(1, 5),
+                                                        Fraction(3, 5))
+    assert solve_rational([[1, 2], [2, 4]], [1, 2]) is None
+    assert solve_rational([], []) == ()
 
 
 def test_primitivize():

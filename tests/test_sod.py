@@ -97,6 +97,19 @@ def test_count_identities(a1_half, a2_third, a1_half_line):
     assert parts == {"spanning": 4, "blocks": 4, "fiber_order": 1}
 
 
+@pytest.mark.parametrize("orders, spanning, fiber_order",
+                         [((2, 2, 1, 1), 8, 2), ((2, 2, 3, 1), 24, 6)])
+def test_count_identity_fiber_order(orders, spanning, fiber_order):
+    # v_3 = (1, 1, 2) maps to twice a generator of N / sat(span(v_1, v_2)),
+    # so the fiber class group has order 2 * r_3.
+    d = make_datum(((1, 0, 0), (1, 2, 0), (1, 1, 2), (1, 1, 0)),
+                   (1, 1, 0, -2), orders)
+    lhs, rhs, parts = generator_count_identity(decompose(d))
+    assert parts == {"spanning": spanning, "blocks": 4,
+                     "fiber_order": fiber_order}
+    assert lhs == rhs == spanning + 4 * fiber_order
+
+
 def test_requires_extraction():
     crepant = canned_example("a1-half-crepant").datum
     with pytest.raises(RequiresExtraction):
