@@ -336,11 +336,8 @@ def main(argv=None) -> int:
         return 2
     try:
         return args.func(args)
-    except errors.ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (errors.RequiresExtraction, errors.UnknownExample,
-            errors.DepthExceeded, errors.ModelMismatch,
+    except (errors.ValidationError, errors.RequiresExtraction,
+            errors.UnknownExample, errors.DepthExceeded, errors.ModelMismatch,
             errors.DegenerateDatum) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -308,16 +308,11 @@ def solve_integer(mat: Matrix, rhs) -> Vector | None:
 
 @dataclass(frozen=True)
 class LatticeProjection:
-    """Surjection Z^source_rank -> Z^target_rank with prescribed kernel.
-
-    ``matrix`` holds the projection rows; ``kernel_basis`` is a basis of the
-    saturation of the requested kernel generators.
-    """
+    """Surjection Z^source_rank -> Z^target_rank; ``matrix`` holds its rows."""
 
     source_rank: int
     target_rank: int
     matrix: tuple[Vector, ...]
-    kernel_basis: tuple[Vector, ...]
 
     def apply(self, vec) -> Vector:
         if len(vec) != self.source_rank:
@@ -326,36 +321,23 @@ class LatticeProjection:
                      for row in self.matrix)
 
 
-def quotient_project(rank: int, kernel_gens, saturate: bool = True) -> LatticeProjection:
-    """Projection of Z^rank onto the quotient by a sublattice, as a free lattice.
+def quotient_project(rank: int, kernel_gens) -> LatticeProjection:
+    """Projection of Z^rank onto its quotient by the saturated span of gens.
 
-    With ``saturate=True`` the quotient is taken by the saturation of the
-    span of ``kernel_gens`` (so the result is always free of rank
-    rank - dim span).  With ``saturate=False`` the generators must already
-    span a saturated sublattice; otherwise a ValueError reports the index.
+    The quotient is by the saturation of the span of ``kernel_gens``, so the
+    result is always free of rank rank - dim span.
     """
     gens = [list(g) for g in kernel_gens]
     if any(len(g) != rank for g in gens):
         raise ValueError("kernel generator has wrong length")
     if not gens:
         eye = identity_matrix(rank)
-        return LatticeProjection(rank, rank, tuple(tuple(r) for r in eye), ())
+        return LatticeProjection(rank, rank, tuple(tuple(r) for r in eye))
     cols = transpose(gens)  # rank x len(gens); columns are the generators
-    u, d, _, uinv = smith_normal_form_full(cols)
-    diag = diagonal_of(d)
-    s = sum(1 for x in diag if x)
-    if not saturate:
-        bad = [x for x in diag[:s] if x != 1]
-        if bad:
-            index = 1
-            for x in diag[:s]:
-                index *= x
-            raise ValueError(
-                "kernel generators span a non-saturated sublattice "
-                f"(index {index} in its saturation)")
-    proj = tuple(tuple(u[i]) for i in range(s, rank))
-    kernel = tuple(tuple(uinv[i][j] for i in range(rank)) for j in range(s))
-    return LatticeProjection(rank, rank - s, proj, kernel)
+    u, d, _, _ = smith_normal_form_full(cols)
+    s = sum(1 for x in diagonal_of(d) if x)
+    return LatticeProjection(rank, rank - s,
+                             tuple(tuple(u[i]) for i in range(s, rank)))
 
 
 @dataclass(frozen=True)

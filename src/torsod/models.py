@@ -295,13 +295,11 @@ class FiberModel:
     """Star of the extraction center: the fan the blocks live on.
 
     ``source_rays`` maps each fiber ray back to the target-fan ray it came
-    from; ``projection`` is the quotient map from the target lattice onto the
-    fiber lattice.
+    from.
     """
 
     fan: StackyFan
     source_rays: tuple[int, ...]
-    projection: lattice.LatticeProjection
 
 
 def fiber_model(pair: ModelPair) -> FiberModel:
@@ -313,8 +311,7 @@ def fiber_model(pair: ModelPair) -> FiberModel:
     d = pair.datum
     alpha = d.alpha
     center = sorted(pair.y_rays[i] for i in range(alpha))
-    proj = lattice.quotient_project(
-        d.n, [pair.fan_y.rays[j] for j in center], saturate=True)
+    proj = lattice.quotient_project(d.n, [pair.fan_y.rays[j] for j in center])
     star = [c for c in pair.fan_y.max_cones if set(center) <= set(c)]
     if not star:
         raise errors.ModelMismatch("center face lies in no maximal cone")
@@ -338,7 +335,7 @@ def fiber_model(pair: ModelPair) -> FiberModel:
     fan_f = make_fan(d.n - alpha, rays_f, orders_f, cones_f)
     if not oracle.check_complete(fan_f):
         raise errors.ModelMismatch("fiber fan is not complete")
-    return FiberModel(fan=fan_f, source_rays=tuple(source), projection=proj)
+    return FiberModel(fan=fan_f, source_rays=tuple(source))
 
 
 def transfer_label(pair: ModelPair, fiber: FiberModel, k_local):

@@ -15,6 +15,7 @@ checked once per fan before any scan.  All arithmetic is exact.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product
@@ -255,44 +256,44 @@ def cohomology(fan: StackyFan, k) -> tuple[int, ...]:
 
 @lru_cache(maxsize=None)
 def _cohomology_cached(fan: StackyFan, k: tuple[int, ...]) -> tuple[int, ...]:
-    lo, hi = _certified_box(fan, k)
     dims = [0] * (fan.rank + 1)
-    for m in _box_points(lo, hi):
-        h = _pattern_cohomology(fan, _negative_pattern(fan, k, m))
-        if any(h):
-            for q, x in enumerate(h):
-                dims[q] += x
+    for pattern, count in _pattern_counts(fan, k).items():
+        for q, x in enumerate(_pattern_cohomology(fan, pattern)):
+            dims[q] += count * x
     return tuple(dims)
+
+
+def _pattern_counts(fan: StackyFan, k: tuple[int, ...]) -> Counter:
+    """How many characters of the certified box have each negative pattern.
+
+    The one scan over the box behind :func:`cohomology`,
+    :func:`euler_characteristic` and :func:`section_count`.
+    """
+    lo, hi = _certified_box(fan, k)
+    return Counter(_negative_pattern(fan, k, m) for m in _box_points(lo, hi))
 
 
 def euler_characteristic(fan: StackyFan, k) -> int:
     """Alternating sum over degrees, computed from face counts alone.
 
-    Scans the same vertex box as :func:`cohomology` (characters outside it
-    have zero Euler piece, see :func:`_certified_box`) but shares none of the
-    rank computations, so agreement between the two is a real consistency
-    check.
+    Weighs each negative pattern of the box scan by its face-count Euler
+    piece (characters outside the box have none, see :func:`_certified_box`).
+    It shares only the patterns with :func:`cohomology`, none of the rank
+    computations, so agreement between the two is a real consistency check.
     """
-    k = _label(fan, k)
-    lo, hi = _certified_box(fan, k)
-    return sum(_pattern_euler(fan, _negative_pattern(fan, k, m))
-               for m in _box_points(lo, hi))
+    counts = _pattern_counts(fan, _label(fan, k))
+    return sum(count * _pattern_euler(fan, pattern)
+               for pattern, count in counts.items())
 
 
 def section_count(fan: StackyFan, k) -> int:
     """Number of characters with every r_j <m, v_j> + k_j >= 0.
 
-    Direct lattice-point count of the section polytope; used to double-check
-    the degree-0 entry of :func:`cohomology`.
+    Those are the characters with an empty negative pattern: the lattice
+    points of the section polytope, counted without any cohomology, as a
+    check on the degree-0 entry of :func:`cohomology`.
     """
-    k = _label(fan, k)
-    lo, hi = _certified_box(fan, k)
-    count = 0
-    for m in _box_points(lo, hi):
-        dots = _scaled_dots(fan, m)
-        if all(dots[j] + k[j] >= 0 for j in range(len(k))):
-            count += 1
-    return count
+    return _pattern_counts(fan, _label(fan, k))[frozenset()]
 
 
 def check_complete(fan: StackyFan) -> bool:

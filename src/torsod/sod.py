@@ -179,29 +179,14 @@ def _restricted_class_lattice(d: ExtractionDatum) -> lattice.AbelianGroup:
     return group
 
 
-def _block_witness(ctx: DatumContext, W_alpha: int):
-    """Unique integer k_{n+1} with 0 < W_alpha - C k <= -S.
-
-    Returns (witness, W) or None when the class misses the block window; the
-    window is shorter than the exponent stride C, so uniqueness is automatic.
-    """
-    C = ctx.C
-    k = -(-(ctx.S + W_alpha) // C)   # ceil((S + W_alpha) / C), inclusive
-    if C * k >= W_alpha:             # k >= W_alpha / C, exclusive
-        return None
-    W = W_alpha - C * k
-    if not (0 < W <= -ctx.S):
-        raise AssertionError("witness landed outside the block window")
-    return k, W
-
-
 def block_labels(ctx: DatumContext) -> list[BlockLabel]:
     """Enumerate the fiber blocks of the decomposition.
 
-    Restricted classes (Z^alpha mod L_res) that admit an integer witness are
-    the block candidates; candidates with equal witnessed w whose difference
-    lies in the exact transfer lattice L_tau describe the same block and get
-    merged, the aliases retained on the surviving label.  Representatives
+    Restricted classes (Z^alpha mod L_res) whose window witness puts W in
+    (0, -S] are the block candidates; candidates with equal witnessed W whose
+    difference lies in the exact transfer lattice L_tau describe the same
+    block, so they share the key (W, tau.reduce(label)) and get merged, the
+    aliases retained on the surviving label.  Representatives
     prefer the lexicographically smallest all-nonnegative member with w
     already in the window (witness 0), which always lives in the finite box
     k_i <= -sigma * r_i / a_i when it exists at all.
@@ -220,25 +205,14 @@ def block_labels(ctx: DatumContext) -> list[BlockLabel]:
         if key not in preferred or cand < preferred[key]:
             preferred[key] = cand
 
-    candidates = []
+    groups: dict[tuple, list[tuple]] = {}
     for rep in group.classes():
-        if _block_witness(ctx, ctx.W(rep)) is None:
-            continue
         label = preferred.get(rep, rep)
-        witness, W = _block_witness(ctx, ctx.W(label))
-        candidates.append((W, label, witness))
-    candidates.sort(key=lambda c: (c[0], c[1]))
-
-    groups: list[list[tuple]] = []
-    for W, label, witness in candidates:
-        for g in groups:
-            gW, glabel, _ = g[0]
-            delta = tuple(x - y for x, y in zip(label, glabel))
-            if gW == W and ctx.tau.contains(delta):
-                g.append((W, label, witness))
-                break
-        else:
-            groups.append([(W, label, witness)])
+        witness = _window_witness(ctx, label)
+        W = ctx.W(label) - ctx.C * witness   # in (-S_alpha, -S]
+        if W > 0:
+            groups.setdefault((W, ctx.tau.reduce(label)), []).append(
+                (W, label, witness))
 
     def rep_quality(item):
         _, lab, _ = item
@@ -246,7 +220,7 @@ def block_labels(ctx: DatumContext) -> list[BlockLabel]:
         return (0 if nice else 1, lab)
 
     blocks: list[BlockLabel] = []
-    for g in groups:
+    for g in groups.values():
         g.sort(key=rep_quality)
         W, label, witness = g[0]
         blocks.append(BlockLabel(label=label, witness=witness,

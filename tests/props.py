@@ -7,6 +7,7 @@ budget without duplicating the strategies.
 
 from dataclasses import replace
 from fractions import Fraction
+from itertools import product
 from math import ceil, gcd
 
 import pytest
@@ -37,7 +38,8 @@ from torsod.lattice import (
     solve_rational,
 )
 from torsod.serialize import certificate_from_obj, certificate_to_obj
-from torsod.sod import _vanishes, _window_witness
+from torsod.sod import (BlockLabel, _restricted_class_lattice, _vanishes,
+                        _window_witness, block_labels)
 
 
 def _settings(max_examples):
@@ -172,6 +174,37 @@ def _valid_datums(draw):
     return make_datum(rays + (ve,), coefficients, orders)
 
 
+@st.composite
+def _extraction_datums(draw):
+    """A ``_valid_datums`` draw made an extraction, with a sheared zero ray.
+
+    Those rays form a basis and always give a_{n+1} = -1, so r_{n+1} and
+    r_i > alpha a_i r_{n+1} for i <= alpha make sigma_alpha < 1 / r_{n+1}.
+    A zero ray (if any) becomes t v_j + sum s_i v_i over i <= alpha: with
+    t > 1 the restricted lattice can be a strict sublattice of L_tau, which
+    is what makes blocks merge.
+    """
+    d = draw(_valid_datums())
+    alpha = d.alpha
+    rays = [list(v) for v in d.rays]
+    for j in range(alpha, d.n):
+        t = draw(st.integers(min_value=1, max_value=3))
+        s = [draw(st.integers(min_value=-2, max_value=2))
+             for _ in range(alpha)]
+        sheared = [t * x + sum(si * rays[i][k] for i, si in enumerate(s))
+                   for k, x in enumerate(rays[j])]
+        rays[j] = primitivize(sheared)[0]
+    last = draw(st.integers(min_value=1, max_value=2))
+    orders = [draw(st.integers(min_value=alpha * a * last + 1,
+                               max_value=alpha * a * last + 2))
+              for a in d.coefficients[:alpha]]
+    orders += [draw(st.integers(min_value=1, max_value=4))
+               for _ in range(alpha, d.n)]
+    out = make_datum(rays, d.coefficients, orders + [last])
+    assert sigma(out) < 0
+    return out
+
+
 def ref_window_witness(d, label):
     """Reference: the exceptional exponent putting w in (-sigma_alpha, -sigma].
 
@@ -228,6 +261,74 @@ def run_weighted_sum_properties(max_examples):
         label = tuple(y[:d.n])
         assert _window_witness(ctx, label) == ref_window_witness(d, label)
         assert _vanishes(ctx, label) == ref_vanishes(d, label)
+
+    check()
+
+
+def ref_block_groups(ctx):
+    """Reference for ``block_labels``: candidates merged by a pairwise loop.
+
+    A candidate joins the first group whose first member has the same
+    witnessed W and differs from it by an element of L_tau (``tau.contains``
+    on the difference); the witness is solved in the block window directly.
+    """
+    alpha, S, C = ctx.datum.alpha, ctx.S, ctx.C
+    group = _restricted_class_lattice(ctx.datum)
+
+    def witness(W_alpha):
+        # unique integer k with 0 < W_alpha - C k <= -S, or None
+        k = -(-(S + W_alpha) // C)
+        return None if C * k >= W_alpha else (k, W_alpha - C * k)
+
+    preferred = {}
+    for cand in product(*(range(-S // ctx.c[i] + 1) for i in range(alpha))):
+        if 0 < ctx.W(cand) <= -S:
+            key = group.reduce(cand)
+            if key not in preferred or cand < preferred[key]:
+                preferred[key] = cand
+    candidates = []
+    for rep in group.classes():
+        if witness(ctx.W(rep)) is not None:
+            label = preferred.get(rep, rep)
+            k, W = witness(ctx.W(label))
+            candidates.append((W, label, k))
+    candidates.sort(key=lambda c: (c[0], c[1]))
+
+    groups = []
+    for W, label, k in candidates:
+        for g in groups:
+            gW, glabel, _ = g[0]
+            delta = tuple(x - y for x, y in zip(label, glabel))
+            if gW == W and ctx.tau.contains(delta):
+                g.append((W, label, k))
+                break
+        else:
+            groups.append([(W, label, k)])
+
+    blocks = []
+    for g in groups:
+        g.sort(key=lambda item: (
+            0 if all(x >= 0 for x in item[1]) and 0 < ctx.W(item[1]) <= -S
+            else 1, item[1]))
+        W, label, k = g[0]
+        blocks.append(BlockLabel(label=label, witness=k, w=Fraction(W, ctx.R),
+                                 aliases=tuple(lab for _, lab, _ in g[1:])))
+    blocks.sort(key=lambda b: (b.w, b.label))
+    return blocks
+
+
+def run_block_group_properties(max_examples):
+    """``block_labels`` keys its merge by (W, tau class) and loses nothing.
+
+    On every extraction datum drawn it returns the blocks, witnesses and
+    aliases of the pairwise reference, in the same order.
+    """
+
+    @_settings(max_examples)
+    @given(data=st.data())
+    def check(data):
+        ctx = datum_context(data.draw(_extraction_datums()))
+        assert block_labels(ctx) == ref_block_groups(ctx)
 
     check()
 

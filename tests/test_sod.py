@@ -5,8 +5,9 @@ from itertools import product
 
 import pytest
 
-from props import (ref_has_cycle, ref_longest_descent, ref_vanishes,
-                   ref_window_witness)
+from props import (ref_block_groups, ref_has_cycle, ref_longest_descent,
+                   ref_vanishes, ref_window_witness,
+                   run_block_group_properties)
 from torsod import (
     GenerationCertificate,
     SpanningClass,
@@ -87,6 +88,23 @@ def test_blocks_merge_on_twist(twist_datum):
     lhs, rhs, parts = generator_count_identity(dec)
     assert (lhs, rhs) == (16, 16)
     assert parts == {"spanning": 8, "blocks": 4, "fiber_order": 2}
+
+
+def test_block_labels_match_pairwise_reference(extraction_pairs, twist_datum,
+                                               stress_datum):
+    # the deep datum has 760 blocks; the twist datum's merge fires
+    deep = make_datum(((1, 0), (1, 2), (1, 1)), (1, 1, -2), (20, 20, 1))
+    found = {}
+    for d in [pair.datum for pair in extraction_pairs] + [twist_datum,
+                                                          stress_datum, deep]:
+        found[d] = list(decompose(d).blocks)
+        assert found[d] == ref_block_groups(datum_context(d))
+    assert any(b.aliases for b in found[twist_datum])
+    assert len(found[deep]) == 760
+
+
+def test_block_labels_match_pairwise_reference_on_random_data():
+    run_block_group_properties(100)
 
 
 def test_count_identities(a1_half, a2_third, a1_half_line):
