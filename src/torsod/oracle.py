@@ -10,7 +10,11 @@ subcomplex of the fan's ray complex on the "negative" rays
 Only finitely many m contribute because the fan is complete, and those lie
 in the bounding box of the vertices of the hyperplane arrangement
 r_j <m, v_j> = -k_j (argument in :func:`_certified_box`); completeness is
-checked once per fan before any scan.  All arithmetic is exact.
+checked once per fan before any scan.  All arithmetic is exact and integer:
+each vertex is adj_S (-k_S) / det_S with the adjugate and determinant of the
+scaled rows S built once per fan, and the box's ceil and floor are integer
+floor divisions.  The scan sweeps each row of the box along the last
+coordinate, where every ray's sign flips at most once.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product
-from math import ceil, floor
+from operator import mul
 
 from . import errors, lattice
 
@@ -173,13 +177,8 @@ def _pattern_euler(fan: StackyFan, pattern: frozenset) -> int:
 
 @lru_cache(maxsize=None)
 def _scaled_dots(fan: StackyFan, m: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(r * sum(mi * vi for mi, vi in zip(m, v))
-                 for v, r in zip(fan.rays, fan.orders))
-
-
-def _negative_pattern(fan: StackyFan, k, m) -> frozenset:
-    dots = _scaled_dots(fan, m)
-    return frozenset(j for j in range(len(k)) if dots[j] + k[j] < 0)
+    """r_j <m, v_j> for every ray j; the scan reads one per row of its box."""
+    return tuple(sum(map(mul, m, row)) for row in _scan_kernel(fan).rows)
 
 
 def _label(fan: StackyFan, k) -> tuple[int, ...]:
@@ -190,31 +189,49 @@ def _label(fan: StackyFan, k) -> tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
-# Scan boxes
+# The per-fan scan kernel and the scan boxes
 
 
-def _arrangement_vertices(fan: StackyFan, k):
-    """All vertices of the hyperplane arrangement r_j <m, v_j> = -k_j."""
-    d = fan.rank
-    verts = []
-    for subset in combinations(range(len(fan.rays)), d):
-        rows = [[fan.orders[j] * fan.rays[j][i] for i in range(d)]
-                for j in subset]
-        vert = lattice.solve_rational(rows, [-k[j] for j in subset])
-        if vert is not None:
-            verts.append(vert)
-    return verts
+@dataclass(frozen=True)
+class _ScanKernel:
+    """Label-free tables of one complete fan, built once per fan."""
+
+    rows: tuple[tuple[int, ...], ...]     # r_j v_j
+    slopes: tuple[int, ...]               # last column of rows
+    # (S, adj_S, det_S) for every d-subset S of rays with independent rows,
+    # signed so that det_S > 0
+    solvers: tuple[tuple, ...]
+
+
+def _adjugate(mat) -> list[list[int]]:
+    """Integer adjugate by cofactors: mat @ adj == det(mat) * identity."""
+    d = len(mat)
+    return [[(-1) ** (i + j) * lattice.determinant(
+                [row[:i] + row[i + 1:] for r, row in enumerate(mat) if r != j])
+             for j in range(d)] for i in range(d)]
+
+
+@lru_cache(maxsize=None)
+def _scan_kernel(fan: StackyFan) -> _ScanKernel:
+    """The scan tables of ``fan``; an incomplete fan raises OracleBoxError."""
+    if not check_complete(fan):
+        raise errors.OracleBoxError(
+            "cohomology needs a complete fan; this fan is not complete")
+    rows = tuple(tuple(r * x for x in v) for v, r in zip(fan.rays, fan.orders))
+    solvers = []
+    for subset in combinations(range(len(rows)), fan.rank):
+        mat = [rows[j] for j in subset]
+        det = lattice.determinant(mat)
+        if det:
+            sign = 1 if det > 0 else -1
+            adj = tuple(tuple(sign * x for x in row) for row in _adjugate(mat))
+            solvers.append((subset, adj, sign * det))
+    return _ScanKernel(rows=rows, slopes=tuple(row[-1] for row in rows),
+                       solvers=tuple(solvers))
 
 
 def _box_points(lo, hi):
     return product(*(range(a, b + 1) for a, b in zip(lo, hi)))
-
-
-@lru_cache(maxsize=None)
-def _require_complete(fan: StackyFan) -> None:
-    if not check_complete(fan):
-        raise errors.OracleBoxError(
-            "cohomology needs a complete fan; this fan is not complete")
 
 
 @lru_cache(maxsize=None)
@@ -234,14 +251,21 @@ def _certified_box(fan: StackyFan, k) -> tuple[tuple[int, ...], tuple[int, ...]]
        a lattice point of that hull has each coordinate in [ceil(min),
        floor(max)] of the vertex coordinates.
 
-    When lo > hi in some coordinate, the hull holds no lattice point and the
+    The vertex of a d-subset S of rays with independent rows is
+    adj_S (-k_S) / det_S, from the kernel's label-free adjugate and positive
+    determinant, so its ceil and floor are integer floor divisions.  When
+    lo > hi in some coordinate, the hull holds no lattice point and the
     empty scan is correct.  Completeness is checked first; an incomplete fan
     raises OracleBoxError.
     """
-    _require_complete(fan)
-    verts = _arrangement_vertices(fan, k)
-    lo = tuple(min(ceil(v[i]) for v in verts) for i in range(fan.rank))
-    hi = tuple(max(floor(v[i]) for v in verts) for i in range(fan.rank))
+    verts = []
+    for subset, adj, det in _scan_kernel(fan).solvers:
+        rhs = [-k[j] for j in subset]
+        verts.append((tuple(sum(map(mul, row, rhs)) for row in adj), det))
+    lo = tuple(min(-(-num[i] // det) for num, det in verts)
+               for i in range(fan.rank))
+    hi = tuple(max(num[i] // det for num, det in verts)
+               for i in range(fan.rank))
     return lo, hi
 
 
@@ -267,10 +291,56 @@ def _pattern_counts(fan: StackyFan, k: tuple[int, ...]) -> Counter:
     """How many characters of the certified box have each negative pattern.
 
     The one scan over the box behind :func:`cohomology`,
-    :func:`euler_characteristic` and :func:`section_count`.
+    :func:`euler_characteristic` and :func:`section_count`.  It sweeps the
+    box row by row along the last coordinate t: ray j is negative where
+    b_j + s_j t < 0, with b_j read once per row and s_j its slope, a
+    half-line in t, so it flips at most once per row and the row splits
+    into at most N + 1 runs of one pattern.  Patterns are ray bitmasks until
+    the counts are returned.
     """
     lo, hi = _certified_box(fan, k)
-    return Counter(_negative_pattern(fan, k, m) for m in _box_points(lo, hi))
+    if any(a > b for a, b in zip(lo, hi)):
+        return Counter()
+    if not fan.rank:
+        return Counter({frozenset(): 1})
+    rays = [(j, 1 << j, kj, s)
+            for j, (kj, s) in enumerate(zip(k, _scan_kernel(fan).slopes))]
+    first, last = lo[-1], hi[-1] + 1          # a row is t in [first, last)
+    runs: dict[int, int] = {}
+    for prefix in _box_points(lo[:-1], hi[:-1]):
+        dots = _scaled_dots(fan, prefix + (0,))
+        mask, cuts = 0, []
+        for j, bit, kj, s in rays:
+            b = dots[j] + kj
+            if s > 0:                         # negative for t < c
+                c = -(b // s)
+                if first < c:
+                    mask |= bit
+                    if c < last:
+                        cuts.append((c, bit))
+            elif s < 0:                       # negative for t >= c
+                c = b // -s + 1
+                if c <= first:
+                    mask |= bit
+                elif c < last:
+                    cuts.append((c, bit))
+            elif b < 0:
+                mask |= bit
+        start = first
+        cuts.sort()
+        for c, bit in cuts:
+            if c > start:
+                runs[mask] = runs.get(mask, 0) + c - start
+                start = c
+            mask ^= bit
+        runs[mask] = runs.get(mask, 0) + last - start
+    return Counter({_mask_pattern(mask): n for mask, n in runs.items()})
+
+
+@lru_cache(maxsize=None)
+def _mask_pattern(mask: int) -> frozenset:
+    """The ray indices of the set bits of ``mask``."""
+    return frozenset(j for j in range(mask.bit_length()) if mask >> j & 1)
 
 
 def euler_characteristic(fan: StackyFan, k) -> int:

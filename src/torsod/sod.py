@@ -183,10 +183,15 @@ def block_labels(ctx: DatumContext) -> list[BlockLabel]:
     """Enumerate the fiber blocks of the decomposition.
 
     Restricted classes (Z^alpha mod L_res) whose window witness puts W in
-    (0, -S] are the block candidates; candidates with equal witnessed W whose
-    difference lies in the exact transfer lattice L_tau describe the same
-    block, so they share the key (W, tau.reduce(label)) and get merged, the
-    aliases retained on the surviving label.  Representatives
+    (0, -S] are the block candidates; candidates whose difference lies in
+    the exact transfer lattice L_tau describe the same block, so they share
+    the key tau.reduce(label) and get merged, the aliases retained on the
+    surviving label.  Their witnessed W agree, so the key needs no W: a
+    difference delta = (r_i <m, v_i>)_{i <= alpha} in L_tau has
+    W(delta) = R sum_{i <= alpha} a_i <m, v_i> = -R a_{n+1} <m, v_{n+1}>
+    = C r_{n+1} <m, v_{n+1}> by the relation, a multiple of C, and the
+    witnessed W is the one value congruent to W(label) mod C in the window
+    (-S_alpha, -S] of length C.  Representatives
     prefer the lexicographically smallest all-nonnegative member with w
     already in the window (witness 0), which always lives in the finite box
     k_i <= -sigma * r_i / a_i when it exists at all.
@@ -211,7 +216,7 @@ def block_labels(ctx: DatumContext) -> list[BlockLabel]:
         witness = _window_witness(ctx, label)
         W = ctx.W(label) - ctx.C * witness   # in (-S_alpha, -S]
         if W > 0:
-            groups.setdefault((W, ctx.tau.reduce(label)), []).append(
+            groups.setdefault(ctx.tau.reduce(label), []).append(
                 (W, label, witness))
 
     def rep_quality(item):

@@ -7,8 +7,8 @@ budget without duplicating the strategies.
 
 from dataclasses import replace
 from fractions import Fraction
-from itertools import product
-from math import ceil, gcd
+from itertools import combinations, product
+from math import ceil, floor, gcd
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -318,7 +318,7 @@ def ref_block_groups(ctx):
 
 
 def run_block_group_properties(max_examples):
-    """``block_labels`` keys its merge by (W, tau class) and loses nothing.
+    """``block_labels`` keys its merge by the tau class and loses nothing.
 
     On every extraction datum drawn it returns the blocks, witnesses and
     aliases of the pairwise reference, in the same order.
@@ -331,6 +331,25 @@ def run_block_group_properties(max_examples):
         assert block_labels(ctx) == ref_block_groups(ctx)
 
     check()
+
+
+def ref_vertex_box(fan, k):
+    """Reference for ``oracle._certified_box``, in rational arithmetic.
+
+    Every d-subset of scaled rows r_j v_j with nonzero determinant is solved
+    for its vertex of r_j <m, v_j> = -k_j by ``solve_rational``; the box is
+    [ceil(min), floor(max)] of the vertex coordinates.
+    """
+    d = fan.rank
+    verts = []
+    for subset in combinations(range(len(fan.rays)), d):
+        rows = [[fan.orders[j] * x for x in fan.rays[j]] for j in subset]
+        vert = solve_rational(rows, [-k[j] for j in subset])
+        if vert is not None:
+            verts.append(vert)
+    lo = tuple(min(ceil(v[i]) for v in verts) for i in range(d))
+    hi = tuple(max(floor(v[i]) for v in verts) for i in range(d))
+    return lo, hi
 
 
 def ref_has_cycle(cert):
@@ -405,17 +424,19 @@ def _tamper(rng, cert):
 def run_certificate_roundtrip_properties(max_examples):
     """Serialize/parse a generation certificate and re-verify it.
 
-    The depth guard refuses exactly the certificates whose longest descent
+    The datum is a catalog extraction or an ``_extraction_datums`` draw, so
+    certificates also meet merged blocks and rays that are not a basis.  The
+    depth guard refuses exactly the certificates whose longest descent
     exceeds it, and a tampered certificate that verifies has no cycle.
     """
 
-    names = ["a1-half", "a2-third", "a1-half-line"]
-    data_cache = {name: canned_example(name).datum for name in names}
+    catalog = [canned_example(name).datum
+               for name in ("a1-half", "a2-third", "a1-half-line")]
 
     @_settings(max_examples)
     @given(data=st.data())
     def check(data):
-        d = data_cache[data.draw(st.sampled_from(names))]
+        d = data.draw(st.one_of(st.sampled_from(catalog), _extraction_datums()))
         count = data.draw(st.integers(min_value=1, max_value=3))
         targets = [tuple(data.draw(st.integers(min_value=-6, max_value=6))
                          for _ in range(d.n))

@@ -1,6 +1,7 @@
 import random
+from collections import Counter
 from itertools import product
-from math import comb
+from math import comb, prod
 
 import pytest
 
@@ -24,12 +25,27 @@ from torsod.errors import (
     OracleBoxError,
     SchemaError,
 )
-from torsod.oracle import _certified_box, _negative_pattern, _pattern_cohomology
+from torsod import lattice
+from torsod.oracle import (
+    _certified_box,
+    _pattern_counts,
+    _pattern_cohomology,
+    _scaled_dots,
+)
+
+from props import ref_vertex_box
+
+
+def negative_pattern(fan, k, m):
+    """Reference: the rays j with r_j <m, v_j> + k_j < 0, read off the fan."""
+    return frozenset(
+        j for j, (v, r, kj) in enumerate(zip(fan.rays, fan.orders, k))
+        if r * sum(a * b for a, b in zip(m, v)) + kj < 0)
 
 
 def graded_piece(fan, k, m):
     """Reference: cohomology dims contributed by the single character m."""
-    return _pattern_cohomology(fan, _negative_pattern(fan, k, m))
+    return _pattern_cohomology(fan, negative_pattern(fan, k, m))
 
 
 def test_p1_line_bundles():
@@ -221,3 +237,65 @@ def test_cohomology_reports_support():
     support = [m for m in range(-5, 6) if any(graded_piece(p1, (2, 0), (m,)))]
     assert support == [-2, -1, 0]
     assert all(graded_piece(p1, (2, 0), (m,)) == (1, 0) for m in support)
+
+
+def _kernel_cases():
+    """Every box-theorem fan on 20 random labels in [-7, 7], and an empty box."""
+    rng = random.Random(20261019)
+    cases = [(fan, tuple(rng.randint(-7, 7) for _ in fan.rays))
+             for fan in _box_theorem_fans() for _ in range(20)]
+    # vertices 1/2 and 1/3: the box is lo = 1 > hi = 0
+    cases.append((make_fan(1, ((1,), (-1,)), (2, 3), ((0,), (1,))), (-1, 1)))
+    return cases
+
+
+def test_kernel_cases_cover_the_edge_cases():
+    cases = _kernel_cases()
+    assert {fan.rank for fan, _ in cases} == {0, 1, 2, 3}
+    assert any(lo > hi for lo, hi in (_certified_box(*case) for case in cases))
+    # rays with a zero last coordinate never flip along a row
+    assert (1, 0) in canned_fan("p2").rays
+    assert any((1, 0, 0) in fan.rays for fan, _ in cases)
+
+
+def test_kernel_box_matches_fraction_reference():
+    for fan, k in _kernel_cases():
+        assert _certified_box(fan, k) == ref_vertex_box(fan, k), (fan, k)
+
+
+def test_row_sweep_matches_per_point_count():
+    for fan, k in _kernel_cases():
+        lo, hi = _certified_box(fan, k)
+        points = product(*(range(a, b + 1) for a, b in zip(lo, hi)))
+        expected = Counter(negative_pattern(fan, k, m) for m in points)
+        # compared as dicts: a pattern with no character must be absent
+        assert dict(_pattern_counts(fan, k)) == dict(expected), (fan, k)
+
+
+def test_scan_of_a_fresh_label_solves_nothing_and_reads_one_dot_per_row(
+        monkeypatch):
+    fan = canned_example("a1-half-line").fan_x
+    assert fan.rank == 3
+    cohomology(fan, (0,) * len(fan.rays))           # builds the fan's kernel
+    calls = []
+    determinant = lattice.determinant
+    monkeypatch.setattr(lattice, "determinant",
+                        lambda mat: calls.append(mat) or determinant(mat))
+
+    def dot_lookups():
+        info = _scaled_dots.cache_info()
+        return info.hits + info.misses
+
+    k = (9, -8, 9, -9, 8)    # outside the [-7, 7] of the other tests
+    misses = _certified_box.cache_info().misses
+    added = []
+    for scan in (cohomology, euler_characteristic, section_count):
+        before = dot_lookups()
+        scan(fan, k)
+        added.append(dot_lookups() - before)
+    assert _certified_box.cache_info().misses == misses + 1   # a fresh label
+    assert calls == []
+    lo, hi = _certified_box(fan, k)
+    rows = prod(b - a + 1 for a, b in zip(lo[:-1], hi[:-1]))
+    assert rows > 1
+    assert added == [rows] * 3
