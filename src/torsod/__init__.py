@@ -36,8 +36,6 @@ from .extraction import (
     sigma,
     sigma_alpha,
     validate,
-    weighted_sum,
-    weighted_sum_partial,
 )
 from .lattice import (
     AbelianGroup,
@@ -110,7 +108,6 @@ from .sod import (
     generation_certificate,
     generator_count_identity,
     semiorthogonality_check,
-    solved_exceptional_exponent,
     spanning_classes,
     transfer_is_invertible,
     verify_certificate,

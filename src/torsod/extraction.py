@@ -162,24 +162,6 @@ def classify(d: ExtractionDatum) -> BirationalClass:
     return BirationalClass(kind=kind, sigma=s)
 
 
-def weighted_sum(d: ExtractionDatum, k) -> Fraction:
-    """w(k) = sum(a_i * k_i / r_i) for a full-length exponent vector k."""
-    if len(k) != d.n + 1:
-        raise ValueError(f"exponent vector must have length {d.n + 1}")
-    return sum((Fraction(a * ki, r)
-                for a, r, ki in zip(d.coefficients, d.orders, k)),
-               Fraction(0))
-
-
-def weighted_sum_partial(d: ExtractionDatum, k) -> Fraction:
-    """Same weighted sum but over a truncated exponent vector (length <= n+1)."""
-    if len(k) > d.n + 1:
-        raise ValueError("exponent vector too long")
-    return sum((Fraction(d.coefficients[i] * ki, d.orders[i])
-                for i, ki in enumerate(k)),
-               Fraction(0))
-
-
 @dataclass(frozen=True)
 class DatumContext:
     """The weight w of a datum in integer form, built once per computation.

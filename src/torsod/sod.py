@@ -40,7 +40,6 @@ from .extraction import (
     koszul_corners,
     relation_rows,
     validate,
-    weighted_sum_partial,
 )
 
 
@@ -53,15 +52,6 @@ def _extraction_context(d: ExtractionDatum) -> DatumContext:
             f"datum classifies as {cls.kind.value} (sigma = {cls.sigma}); "
             "decomposition enumeration needs sigma < 0")
     return datum_context(d)
-
-
-def solved_exceptional_exponent(d: ExtractionDatum, k_local) -> Fraction:
-    """The unique rational k_{n+1} making w(k_local, k_{n+1}) vanish."""
-    if len(k_local) != d.n:
-        raise ValueError(f"local exponent vector must have length {d.n}")
-    a_last = d.coefficients[-1]
-    r_last = d.orders[-1]
-    return -Fraction(r_last, a_last) * weighted_sum_partial(d, k_local)
 
 
 def fiber_transfer_vanishes(ctx: DatumContext, k_local) -> bool:

@@ -20,10 +20,7 @@ from torsod import (
     make_datum,
     sigma,
     sigma_alpha,
-    solved_exceptional_exponent,
     verify_certificate,
-    weighted_sum,
-    weighted_sum_partial,
 )
 from torsod.errors import DepthExceeded
 from torsod.extraction import datum_context
@@ -205,6 +202,32 @@ def _extraction_datums(draw):
     return out
 
 
+def weighted_sum(d, k):
+    """Reference: w(k) = sum(a_i * k_i / r_i) over a full-length vector k.
+
+    The rational weight that ``DatumContext.W`` computes as the integer R * w.
+    """
+    if len(k) != d.n + 1:
+        raise ValueError(f"exponent vector must have length {d.n + 1}")
+    return weighted_sum_partial(d, k)
+
+
+def weighted_sum_partial(d, k):
+    """Reference: the same weighted sum over a vector of length <= n + 1."""
+    if len(k) > d.n + 1:
+        raise ValueError("exponent vector too long")
+    return sum((Fraction(d.coefficients[i] * ki, d.orders[i])
+                for i, ki in enumerate(k)), Fraction(0))
+
+
+def solved_exceptional_exponent(d, k_local):
+    """Reference: the unique rational k_{n+1} making w(k_local, k_{n+1}) 0."""
+    if len(k_local) != d.n:
+        raise ValueError(f"local exponent vector must have length {d.n}")
+    a_last, r_last = d.coefficients[-1], d.orders[-1]
+    return -Fraction(r_last, a_last) * weighted_sum_partial(d, k_local)
+
+
 def ref_window_witness(d, label):
     """Reference: the exceptional exponent putting w in (-sigma_alpha, -sigma].
 
@@ -271,6 +294,7 @@ def ref_block_groups(ctx):
     A candidate joins the first group whose first member has the same
     witnessed W and differs from it by an element of L_tau (``tau.contains``
     on the difference); the witness is solved in the block window directly.
+    Groups are bucketed by W, so only same-W pairs are ever differenced.
     """
     alpha, S, C = ctx.datum.alpha, ctx.S, ctx.C
     group = _restricted_class_lattice(ctx.datum)
@@ -294,16 +318,17 @@ def ref_block_groups(ctx):
             candidates.append((W, label, k))
     candidates.sort(key=lambda c: (c[0], c[1]))
 
-    groups = []
+    groups, by_W = [], {}
     for W, label, k in candidates:
-        for g in groups:
-            gW, glabel, _ = g[0]
-            delta = tuple(x - y for x, y in zip(label, glabel))
-            if gW == W and ctx.tau.contains(delta):
+        bucket = by_W.setdefault(W, [])
+        for g in bucket:
+            glabel = g[0][1]
+            if ctx.tau.contains(tuple(x - y for x, y in zip(label, glabel))):
                 g.append((W, label, k))
                 break
         else:
-            groups.append([(W, label, k)])
+            bucket.append([(W, label, k)])
+            groups.append(bucket[-1])
 
     blocks = []
     for g in groups:

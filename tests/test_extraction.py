@@ -8,8 +8,6 @@ from torsod import (
     make_datum,
     sigma,
     sigma_alpha,
-    weighted_sum,
-    weighted_sum_partial,
 )
 from torsod.errors import (
     DegenerateDatum,
@@ -21,6 +19,8 @@ from torsod.errors import (
     SignPattern,
 )
 from torsod.extraction import koszul_corners
+
+from props import weighted_sum, weighted_sum_partial
 
 
 def half_datum(orders=(2, 2, 1)):

@@ -1,6 +1,7 @@
 import random
 from collections import Counter
-from itertools import product
+from dataclasses import fields, replace
+from itertools import combinations, product
 from math import comb, prod
 
 import pytest
@@ -25,9 +26,10 @@ from torsod.errors import (
     OracleBoxError,
     SchemaError,
 )
-from torsod import lattice
+from torsod import lattice, oracle
 from torsod.oracle import (
     _certified_box,
+    _label_scan,
     _pattern_counts,
     _pattern_cohomology,
     _scaled_dots,
@@ -46,6 +48,18 @@ def negative_pattern(fan, k, m):
 def graded_piece(fan, k, m):
     """Reference: cohomology dims contributed by the single character m."""
     return _pattern_cohomology(fan, negative_pattern(fan, k, m))
+
+
+def face_count_euler(fan, pattern):
+    """Reference: 1 - chi of the full subcomplex on ``pattern``.
+
+    The nonempty faces of the maximal cones that lie in ``pattern``, counted
+    with sign (-1)^(dim), straight from the fan's cone list.
+    """
+    faces = {frozenset(face) for cone in fan.max_cones
+             for size in range(1, len(cone) + 1)
+             for face in combinations(cone, size)}
+    return 1 - sum((-1) ** (len(f) - 1) for f in faces if f <= pattern)
 
 
 def test_p1_line_bundles():
@@ -264,12 +278,20 @@ def test_kernel_box_matches_fraction_reference():
 
 
 def test_row_sweep_matches_per_point_count():
+    """The sweep's pattern counts, and every public read summed from them."""
     for fan, k in _kernel_cases():
         lo, hi = _certified_box(fan, k)
         points = product(*(range(a, b + 1) for a, b in zip(lo, hi)))
         expected = Counter(negative_pattern(fan, k, m) for m in points)
         # compared as dicts: a pattern with no character must be absent
         assert dict(_pattern_counts(fan, k)) == dict(expected), (fan, k)
+        dims = tuple(sum(n * _pattern_cohomology(fan, p)[q]
+                         for p, n in expected.items())
+                     for q in range(fan.rank + 1))
+        chi = sum(n * face_count_euler(fan, p) for p, n in expected.items())
+        assert cohomology(fan, k) == dims, (fan, k)
+        assert section_count(fan, k) == expected[frozenset()], (fan, k)
+        assert euler_characteristic(fan, k) == chi, (fan, k)
 
 
 def test_scan_of_a_fresh_label_solves_nothing_and_reads_one_dot_per_row(
@@ -298,4 +320,46 @@ def test_scan_of_a_fresh_label_solves_nothing_and_reads_one_dot_per_row(
     lo, hi = _certified_box(fan, k)
     rows = prod(b - a + 1 for a, b in zip(lo[:-1], hi[:-1]))
     assert rows > 1
-    assert added == [rows] * 3
+    # the first read scans one dot per row; the other two read its memo
+    assert added == [rows, 0, 0]
+
+
+def test_self_check_scans_each_label_once(monkeypatch):
+    fan = canned_example("a1-half-line").fan_x
+    bound, nrays = 2, len(fan.rays)
+    scans = Counter()
+    pattern_counts = oracle._pattern_counts
+
+    def counted(scanned, k):
+        scans[k] += 1
+        return pattern_counts(scanned, k)
+
+    monkeypatch.setattr(oracle, "_pattern_counts", counted)
+    _label_scan.cache_clear()
+    assert oracle_self_check(fan, bound).ok
+    box = set(product(range(-bound, bound + 1), repeat=nrays))
+    labels = box | {tuple(-1 - x for x in k) for k in box}
+    assert len(labels) == 5226           # the label box union its dual box
+    assert set(scans) == labels
+    assert set(scans.values()) == {1}
+
+
+def test_fan_hash_is_computed_once_and_kept_out_of_fields():
+    spec = (2, ((1, 0), (0, 1), (-1, -1)), (1, 1, 1),
+            ((0, 1), (1, 2), (0, 2)))
+    a, b = make_fan(*spec), make_fan(*spec)
+    assert a is not b and a == b and hash(a) == hash(b)
+    k = (5, 1, 0)                        # a degree-6 label on P^2
+    cohomology(a, k)
+    info = _label_scan.cache_info()
+    assert cohomology(b, k) == (28, 0, 0)
+    assert _label_scan.cache_info().hits == info.hits + 1
+    assert _label_scan.cache_info().currsize == info.currsize
+    stacky = replace(a, orders=(2, 1, 1))
+    assert stacky != a
+    assert hash(stacky) == hash(make_fan(2, a.rays, (2, 1, 1), a.max_cones))
+    assert hash(stacky) != hash(a)
+    assert hash(replace(a)) == hash(a)
+    assert [f.name for f in fields(a)] == [
+        "rank", "rays", "orders", "max_cones"]
+    assert "_hash" not in repr(a)

@@ -7,7 +7,8 @@ import pytest
 
 from props import (ref_block_groups, ref_has_cycle, ref_longest_descent,
                    ref_vanishes, ref_window_witness,
-                   run_block_group_properties)
+                   run_block_group_properties, solved_exceptional_exponent,
+                   weighted_sum, weighted_sum_partial)
 from torsod import (
     GenerationCertificate,
     SpanningClass,
@@ -23,11 +24,8 @@ from torsod import (
     semiorthogonality_check,
     sigma,
     sigma_alpha,
-    solved_exceptional_exponent,
     transfer_is_invertible,
     verify_certificate,
-    weighted_sum,
-    weighted_sum_partial,
 )
 from torsod.errors import DepthExceeded, RequiresExtraction
 from torsod.extraction import datum_context
