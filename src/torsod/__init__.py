@@ -87,7 +87,6 @@ from .serialize import (
     datum_to_obj,
     fan_from_obj,
     fan_to_obj,
-    fraction_from_str,
     fraction_str,
     load_json,
     sha256_hex,

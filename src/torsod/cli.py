@@ -13,6 +13,7 @@ import argparse
 import os
 import sys
 import time
+from fractions import Fraction
 from itertools import product
 
 from . import __version__, errors, models, oracle, report, serialize, sod
@@ -21,6 +22,11 @@ from .extraction import MorphismKind, classify, sigma_alpha
 
 def _fmt_label(label) -> str:
     return "(" + ",".join(str(x) for x in label) + ")"
+
+
+def _fmt_weight(W: int, R: int) -> str:
+    """The weight stored as the integer W = R * w, printed as the fraction w."""
+    return serialize.fraction_str(Fraction(W, R))
 
 
 def _load_datum(token):
@@ -128,18 +134,19 @@ def cmd_sod(args) -> int:
                "sigma": serialize.fraction_str(cls.sigma)},)))
 
     dec = sod.decompose(datum)
+    R = dec.ctx.R
     checks.append(report.Check(
         name="spanning-classes", ok=True,
         summary=f"{len(dec.spans)} classes in the spanning window",
         rows=tuple({"label": _fmt_label(s.label),
-                    "w": serialize.fraction_str(s.w)} for s in dec.spans)))
+                    "w": _fmt_weight(s.W, R)} for s in dec.spans)))
 
     checks.append(report.Check(
         name="block-labels", ok=True,
         summary=f"{len(dec.blocks)} fiber blocks",
         rows=tuple({"label": _fmt_label(b.label),
                     "witness": b.witness,
-                    "w": serialize.fraction_str(b.w),
+                    "w": _fmt_weight(b.W, R),
                     "aliases": [_fmt_label(a) for a in b.aliases]}
                    for b in dec.blocks)))
 
@@ -154,11 +161,11 @@ def cmd_sod(args) -> int:
     checks.append(report.Check(
         name="fully-faithful", ok=faithful.ok,
         summary=f"{len(dec.spans)} classes, extremal delta_w = "
-                f"{serialize.fraction_str(faithful.pairs[0].delta_w)}, "
+                f"{_fmt_weight(faithful.pairs[0].delta_W, R)}, "
                 f"{len(faithful.koszul)} Koszul corners",
         rows=tuple({"source": _fmt_label(p.source),
                     "target": _fmt_label(p.target),
-                    "delta_w": serialize.fraction_str(p.delta_w),
+                    "delta_w": _fmt_weight(p.delta_W, R),
                     "within_bounds": p.within_bounds,
                     "higher_vanishing": p.higher_vanishing}
                    for p in faithful.pairs if not

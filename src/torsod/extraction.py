@@ -134,14 +134,14 @@ class BirationalClass:
 
 def sigma(d: ExtractionDatum) -> Fraction:
     """The discrepancy-like invariant sum(a_i / r_i) over all n+1 indices."""
-    return sum((Fraction(a, r) for a, r in zip(d.coefficients, d.orders)),
-               Fraction(0))
+    ctx = datum_context(d)
+    return Fraction(ctx.S, ctx.R)
 
 
 def sigma_alpha(d: ExtractionDatum) -> Fraction:
     """Positive part sum(a_i / r_i) over i <= alpha."""
-    return sum((Fraction(d.coefficients[i], d.orders[i]) for i in range(d.alpha)),
-               Fraction(0))
+    ctx = datum_context(d)
+    return Fraction(ctx.S_alpha, ctx.R)
 
 
 def classify(d: ExtractionDatum) -> BirationalClass:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from math import gcd
 
 Matrix = list[list[int]]
@@ -399,11 +398,12 @@ class AbelianGroup:
         """Canonical representatives of all classes (finite groups only)."""
         if self.free_rank:
             raise ValueError("class enumeration requires a finite group")
-        out = []
-        for combo in product(*(range(di) for di in self._diag)):
-            out.append(tuple(
-                sum(self._uinv[i][k] * combo[k] for k in range(len(combo)))
-                for i in range(self.ambient_rank)))
+        # U^-1 applied to every combo of diagonal residues, in product
+        # order; a diagonal 1 only ever contributes residue 0.
+        out = [(0,) * self.ambient_rank]
+        for lift, order in self.torsion_lifts():
+            out = [tuple(x + c * y for x, y in zip(v, lift))
+                   for v in out for c in range(order)]
         return out
 
 

@@ -160,23 +160,12 @@ def _validate_pair(pair: ModelPair) -> None:
         raise errors.ModelMismatch(f"{pair.name}: target fan is not complete")
     if not oracle.check_complete(pair.fan_x):
         raise errors.ModelMismatch(f"{pair.name}: source fan is not complete")
-    d = pair.datum
-    for i in range(d.n + 1):
-        xi = pair.x_rays[i]
-        if pair.fan_x.rays[xi] != d.rays[i] or pair.fan_x.orders[xi] != d.orders[i]:
-            raise errors.ModelMismatch(
-                f"{pair.name}: datum ray {i} disagrees with the source fan")
-    for i in range(d.n):
-        yi = pair.y_rays[i]
-        if pair.fan_y.rays[yi] != d.rays[i] or pair.fan_y.orders[yi] != d.orders[i]:
-            raise errors.ModelMismatch(
-                f"{pair.name}: datum ray {i} disagrees with the target fan")
-    if pair.x_rays[d.n] != pair.exceptional_index:
-        raise errors.ModelMismatch(
-            f"{pair.name}: exceptional index disagrees with the correspondence")
+    # datum_from_fans refuses an exceptional index that is not the extra
+    # ray; equal datum and maps then imply every ray and order agrees.
     recovered, x_map, y_map = datum_from_fans(
         pair.fan_x, pair.fan_y, pair.exceptional_index)
-    if recovered != d or x_map != pair.x_rays or y_map != pair.y_rays:
+    if (recovered != pair.datum or x_map != pair.x_rays
+            or y_map != pair.y_rays):
         raise errors.ModelMismatch(
             f"{pair.name}: fans do not reconstruct the stated datum")
 

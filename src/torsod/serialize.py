@@ -68,18 +68,6 @@ def fraction_str(fr: Fraction) -> str:
         else str(fr.numerator)
 
 
-def fraction_from_str(value, field: str) -> Fraction:
-    if isinstance(value, int):
-        return Fraction(value)
-    if not isinstance(value, str):
-        raise errors.SchemaError(f"{field}: expected a fraction string")
-    try:
-        return Fraction(value)
-    except (ValueError, ZeroDivisionError):
-        raise errors.SchemaError(
-            f"{field}: {value!r} is not a fraction") from None
-
-
 # ---------------------------------------------------------------------------
 # Extraction datum
 
@@ -154,7 +142,7 @@ def certificate_to_obj(cert: sod.GenerationCertificate) -> dict:
                 "key": node.key,
                 "label": [encode_int(x) for x in node.label],
                 "witness": encode_int(node.witness),
-                "w": fraction_str(node.w),
+                "W": encode_int(node.W),
                 "kind": node.kind,
                 "children": list(node.children),
                 "block": node.block_key,
@@ -180,7 +168,7 @@ def certificate_from_obj(obj) -> sod.GenerationCertificate:
     nodes = []
     for i, nd in enumerate(obj["nodes"]):
         what = f"certificate.nodes[{i}]"
-        require_keys(nd, ("key", "label", "witness", "w", "kind",
+        require_keys(nd, ("key", "label", "witness", "W", "kind",
                            "children", "block"), what)
         if not isinstance(nd["key"], str) or not isinstance(nd["kind"], str):
             raise errors.SchemaError(f"{what}: key and kind must be strings")
@@ -194,7 +182,7 @@ def certificate_from_obj(obj) -> sod.GenerationCertificate:
             key=nd["key"],
             label=tuple(decode_int_list(nd["label"], f"{what}.label")),
             witness=decode_int(nd["witness"], f"{what}.witness"),
-            w=fraction_from_str(nd["w"], f"{what}.w"),
+            W=decode_int(nd["W"], f"{what}.W"),
             kind=nd["kind"],
             children=tuple(nd["children"]),
             block_key=block,

@@ -16,8 +16,8 @@ W = R * w of a :class:`~torsod.extraction.DatumContext`, with R = lcm(r_i)
 and W(k) = sum(c_i * k_i), c_i = a_i * R / r_i.  R > 0, so each window keeps
 its shape with integer bounds S = R * sigma and S_alpha = R * sigma_alpha:
 spanning -S_alpha < W <= 0, blocks 0 < W <= -S.  One exceptional exponent
-step moves W by the stride C = -c_{n+1} > 0.  A ``Fraction(W, R)`` is built only for a
-stored ``w`` field or a report string.
+step moves W by the stride C = -c_{n+1} > 0.  Records store W; a
+``Fraction(W, R)`` is built only for a report string.
 
 :func:`decompose` is the one validated entry point: it enumerates the
 spanning classes and blocks once, and the checks read its
@@ -29,6 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from operator import mul, sub
 
 from . import errors, lattice
 from .extraction import (
@@ -82,7 +83,7 @@ class SpanningClass:
     """A divisor class in the spanning window, by canonical representative."""
 
     label: tuple[int, ...]   # length n+1
-    w: Fraction
+    W: int                   # R * w
 
 
 def class_group(d: ExtractionDatum) -> lattice.AbelianGroup:
@@ -127,25 +128,25 @@ def spanning_classes(ctx: DatumContext) -> list[SpanningClass]:
             W = ctx.W(rep)
             if W != f * W_free:
                 raise AssertionError("weighted sum is not class-invariant")
-            out.append(SpanningClass(label=rep, w=Fraction(W, ctx.R)))
-    out.sort(key=lambda s: (-s.w, s.label))
+            out.append(SpanningClass(label=rep, W=W))
+    out.sort(key=lambda s: (-s.W, s.label))
     return out
 
 
 @dataclass(frozen=True)
 class BlockLabel:
-    """A fiber-category block: label, its exceptional witness, and w.
+    """A fiber-category block: label, its exceptional witness, and W = R * w.
 
     ``label`` has length alpha (exponents beyond alpha are zero by
     convention); ``witness`` is the unique integer exceptional exponent
-    putting w into (0, -sigma]; ``aliases`` lists representatives of
+    putting W into (0, -S]; ``aliases`` lists representatives of
     restricted classes merged into this block because their difference lies
     in the exact transfer lattice.
     """
 
     label: tuple[int, ...]
     witness: int
-    w: Fraction
+    W: int
     aliases: tuple[tuple[int, ...], ...] = ()
 
 
@@ -161,8 +162,8 @@ def _restricted_class_lattice(d: ExtractionDatum) -> lattice.AbelianGroup:
         mkernel = lattice.integer_kernel(constraint_rows)
     else:
         mkernel = [tuple(row) for row in lattice.identity_matrix(n)]
-    cols = [[d.orders[i] * sum(m[j] * d.rays[i][j] for j in range(n))
-             for m in mkernel] for i in range(alpha)]
+    cols = [[sum(map(mul, m, row)) for m in mkernel]
+            for row in relation_rows(d, alpha)]
     group = lattice.cokernel(cols)
     if group.free_rank != 0:
         raise errors.DegenerateDatum("restricted class lattice is not finite")
@@ -218,10 +219,9 @@ def block_labels(ctx: DatumContext) -> list[BlockLabel]:
     for g in groups.values():
         g.sort(key=rep_quality)
         W, label, witness = g[0]
-        blocks.append(BlockLabel(label=label, witness=witness,
-                                 w=Fraction(W, ctx.R),
+        blocks.append(BlockLabel(label=label, witness=witness, W=W,
                                  aliases=tuple(lab for _, lab, _ in g[1:])))
-    blocks.sort(key=lambda b: (b.w, b.label))
+    blocks.sort(key=lambda b: (b.W, b.label))
     return blocks
 
 
@@ -273,8 +273,8 @@ class PairInequality:
 
     source: tuple[int, ...]
     target: tuple[int, ...]
-    delta_w: Fraction
-    within_bounds: bool       # -sigma_alpha < -delta_w < sigma_alpha
+    delta_W: int              # R * delta_w
+    within_bounds: bool       # -S_alpha < -delta_W < S_alpha
     higher_vanishing: bool    # pushforward of the difference has no R^{>0}
 
 
@@ -283,7 +283,8 @@ class FaithfulnessReport:
     ok: bool
     head_ok: bool                              # a_{n+1}/r_{n+1} < -sigma_alpha
     pairs: tuple[PairInequality, ...]          # the one extremal pair
-    koszul: tuple[tuple[tuple[int, ...], Fraction, bool], ...]
+    # (corner, R * sum of a_i / r_i over the corner, strictly inside (0, C))
+    koszul: tuple[tuple[tuple[int, ...], int, bool], ...]
 
 
 def fully_faithful_check(dec: Decomposition) -> FaithfulnessReport:
@@ -306,14 +307,14 @@ def fully_faithful_check(dec: Decomposition) -> FaithfulnessReport:
     Sa = ctx.S_alpha
     head_ok = -ctx.C < -Sa
 
-    q = max(dec.spans, key=lambda c: c.w)
-    p = min(dec.spans, key=lambda c: c.w)
+    q = max(dec.spans, key=lambda c: c.W)
+    p = min(dec.spans, key=lambda c: c.W)
     delta = tuple(x - y for x, y in zip(p.label, q.label))
     dW = ctx.W(delta)
     extremal = PairInequality(
         source=q.label,
         target=p.label,
-        delta_w=Fraction(dW, ctx.R),
+        delta_W=dW,
         within_bounds=-Sa < -dW < Sa,
         higher_vanishing=dW > -Sa,
     )
@@ -321,7 +322,7 @@ def fully_faithful_check(dec: Decomposition) -> FaithfulnessReport:
     koszul = []
     for subset in koszul_corners(ctx.datum.alpha)[1:]:
         part = sum(ctx.c[i] for i in subset)
-        koszul.append((subset, Fraction(part, ctx.R), 0 < part < ctx.C))
+        koszul.append((subset, part, 0 < part < ctx.C))
 
     ok = (head_ok
           and extremal.within_bounds and extremal.higher_vanishing
@@ -360,14 +361,14 @@ def semiorthogonality_check(dec: Decomposition) -> SemiorthogonalityReport:
     """
     ctx = dec.ctx
     d = ctx.datum
-    n, alpha = d.n, d.alpha
+    alpha = d.alpha
     entries: list[OrthogonalityEntry] = []
     corners = koszul_corners(alpha)
+    blocks = [(b, extend_block_label(d, b.label)) for b in dec.blocks]
 
     for l in dec.spans:
-        for b in dec.blocks:
-            base = tuple(x - y for x, y in
-                         zip(l.label[:n], extend_block_label(d, b.label)))
+        for b, b_ext in blocks:
+            base = tuple(map(sub, l.label, b_ext))
             entries.append(OrthogonalityEntry(
                 kind="span-block",
                 source=l.label, target=b.label, corner=(),
@@ -375,14 +376,12 @@ def semiorthogonality_check(dec: Decomposition) -> SemiorthogonalityReport:
                 certified=_vanishes(ctx, base),
                 reason="interval"))
 
-    for b in dec.blocks:
-        for c in dec.blocks:
+    for b, b_ext in blocks:
+        for c, c_ext in blocks:
             if b is c:
                 continue
-            base = tuple(x - y for x, y in
-                         zip(extend_block_label(d, b.label),
-                             extend_block_label(d, c.label)))
-            if c.w > b.w:
+            base = tuple(map(sub, b_ext, c_ext))
+            if c.W > b.W:
                 for subset in corners:
                     lab = _shifted(base, subset)
                     entries.append(OrthogonalityEntry(
@@ -391,7 +390,7 @@ def semiorthogonality_check(dec: Decomposition) -> SemiorthogonalityReport:
                         label=lab,
                         certified=_vanishes(ctx, lab),
                         reason="interval"))
-            elif c.w == b.w:
+            elif c.W == b.W:
                 entries.append(OrthogonalityEntry(
                     kind="equal-w",
                     source=b.label, target=c.label, corner=(),
@@ -430,11 +429,12 @@ def generator_count_identity(dec: Decomposition):
     """
     d = dec.ctx.datum
     n, alpha = d.n, d.alpha
-    lhs = abs(lattice.determinant(relation_rows(d, n)))
+    rows = relation_rows(d, n)
+    lhs = abs(lattice.determinant(rows))
+    # pi is linear, so pi(r_i v_i) = r_i pi(v_i)
     proj = lattice.quotient_project(n, d.rays[:alpha])
     fiber_order = abs(lattice.determinant(
-        [[d.orders[i] * x for x in proj.apply(d.rays[i])]
-         for i in range(alpha, n)]))
+        [list(proj.apply(row)) for row in rows[alpha:]]))
     n_span, n_blocks = len(dec.spans), len(dec.blocks)
     rhs = n_span + n_blocks * fiber_order
     return lhs, rhs, {"spanning": n_span, "blocks": n_blocks,
@@ -450,7 +450,7 @@ class CertificateNode:
     key: str
     label: tuple[int, ...]        # length n
     witness: int                  # exceptional exponent shared along the DAG
-    w: Fraction
+    W: int                        # R * w
     kind: str                     # "span" | "koszul" | "block"
     children: tuple[str, ...] = ()
     block_key: str | None = None
@@ -503,7 +503,7 @@ def generation_certificate(d: ExtractionDatum, targets,
     """
     ctx = _extraction_context(d)
     n, alpha = d.n, d.alpha
-    R, C = ctx.R, ctx.C
+    C = ctx.C
     roots = []
     for target in targets:
         label = tuple(int(x) for x in target)
@@ -534,7 +534,7 @@ def generation_certificate(d: ExtractionDatum, targets,
                     raise AssertionError("spanning leaf outside its window")
                 nodes[ident] = CertificateNode(
                     key=_node_key(*ident), label=label, witness=witness,
-                    w=Fraction(W, R), kind="span")
+                    W=W, kind="span")
             elif kids is None:
                 if not (W <= -ctx.S):
                     raise AssertionError("koszul node outside its window")
@@ -542,13 +542,12 @@ def generation_certificate(d: ExtractionDatum, targets,
                 stack.append((label, kids))
                 stack.extend((kid, None) for kid in kids)
             else:
-                w = Fraction(W, R)
                 bident = ("B", label, witness)
                 block = nodes[bident] = CertificateNode(
                     key=_node_key(*bident), label=label, witness=witness,
-                    w=w, kind="block")
+                    W=W, kind="block")
                 nodes[ident] = CertificateNode(
-                    key=_node_key(*ident), label=label, witness=witness, w=w,
+                    key=_node_key(*ident), label=label, witness=witness, W=W,
                     kind="koszul",
                     children=tuple(nodes["L", kid, witness].key
                                    for kid in kids),
@@ -568,9 +567,10 @@ def verify_certificate(d: ExtractionDatum,
                        cert: GenerationCertificate) -> CertificateVerification:
     """Replay every structural rule of a generation certificate.
 
-    Checks node windows against recomputed w, witness windows at the roots,
-    exact Koszul corner sets with inherited witnesses, block leaves matching
-    their Koszul parents and the strictly decreasing coordinate-sum measure.
+    Checks each stored W and node window against the recomputed W, witness
+    windows at the roots, exact Koszul corner sets with inherited witnesses,
+    block leaves matching their Koszul parents and the strictly decreasing
+    coordinate-sum measure.
     Purely combinatorial; the Euler-characteristic replay against the
     cohomology oracle lives in the model layer.
 
@@ -600,9 +600,10 @@ def verify_certificate(d: ExtractionDatum,
             violations.append(("BAD_LABEL", node.key, "label length"))
             continue
         W = wval(node)
-        if W * node.w.denominator != node.w.numerator * R:
+        if W != node.W:
             violations.append(("W_MISMATCH", node.key,
-                               f"recomputed {Fraction(W, R)}, stored {node.w}"))
+                               f"recomputed {Fraction(W, R)}, "
+                               f"stored {Fraction(node.W, R)}"))
         if node.kind == "span":
             if not (-Sa < W <= 0):
                 violations.append(("LEAF_WINDOW", node.key,

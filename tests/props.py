@@ -7,8 +7,9 @@ budget without duplicating the strategies.
 
 from dataclasses import replace
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, product
-from math import ceil, floor, gcd
+from math import ceil, floor, gcd, lcm
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -16,6 +17,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from torsod import (
     GenerationCertificate,
     canned_example,
+    extend_block_label,
     generation_certificate,
     make_datum,
     sigma,
@@ -198,7 +200,7 @@ def _extraction_datums(draw):
     orders += [draw(st.integers(min_value=1, max_value=4))
                for _ in range(alpha, d.n)]
     out = make_datum(rays, d.coefficients, orders + [last])
-    assert sigma(out) < 0
+    assert ref_sigma(out) < 0
     return out
 
 
@@ -220,6 +222,25 @@ def weighted_sum_partial(d, k):
                 for i, ki in enumerate(k)), Fraction(0))
 
 
+def ref_sigma(d):
+    """Reference: sigma = sum(a_i / r_i) over all n+1 indices."""
+    return sum((Fraction(a, r) for a, r in zip(d.coefficients, d.orders)),
+               Fraction(0))
+
+
+def ref_sigma_alpha(d):
+    """Reference: sigma_alpha = sum(a_i / r_i) over i <= alpha."""
+    return sum((Fraction(d.coefficients[i], d.orders[i])
+                for i in range(d.alpha)), Fraction(0))
+
+
+def ref_W(d, k):
+    """Reference: the integer R * w(k), R = lcm(r_i), from the Fraction sum."""
+    W = lcm(*d.orders) * weighted_sum_partial(d, k)
+    assert W.denominator == 1
+    return W.numerator
+
+
 def solved_exceptional_exponent(d, k_local):
     """Reference: the unique rational k_{n+1} making w(k_local, k_{n+1}) 0."""
     if len(k_local) != d.n:
@@ -235,8 +256,8 @@ def ref_window_witness(d, label):
     """
     a_last, r_last = d.coefficients[-1], d.orders[-1]
     w_n = weighted_sum_partial(d, label)
-    lo = Fraction(r_last, -a_last) * (sigma(d) + w_n)
-    hi = Fraction(r_last, -a_last) * (sigma_alpha(d) + w_n)
+    lo = Fraction(r_last, -a_last) * (ref_sigma(d) + w_n)
+    hi = Fraction(r_last, -a_last) * (ref_sigma_alpha(d) + w_n)
     k = ceil(lo)
     assert k < hi
     return k
@@ -266,8 +287,8 @@ def run_weighted_sum_properties(max_examples):
         wx, wy = weighted_sum(d, x), weighted_sum(d, y)
         assert weighted_sum(d, [a + b for a, b in zip(x, y)]) == wx + wy
         assert weighted_sum(d, [c * a for a in x]) == c * wx
-        assert weighted_sum(d, (1,) * m) == sigma(d)
-        assert sigma_alpha(d) > 0
+        assert weighted_sum(d, (1,) * m) == ref_sigma(d) == sigma(d)
+        assert ref_sigma_alpha(d) == sigma_alpha(d) > 0
         # w kills every relation-lattice vector r_i <m, v_i>
         mvec = [data.draw(st.integers(min_value=-6, max_value=6))
                 for _ in range(d.n)]
@@ -277,8 +298,8 @@ def run_weighted_sum_properties(max_examples):
 
         ctx = datum_context(d)
         assert ctx.W(x) == ctx.R * wx
-        assert ctx.S == ctx.R * sigma(d)
-        assert ctx.S_alpha == ctx.R * sigma_alpha(d)
+        assert ctx.S == ctx.R * ref_sigma(d)
+        assert ctx.S_alpha == ctx.R * ref_sigma_alpha(d)
         with pytest.raises(ValueError):
             ctx.W(x + [0])
         label = tuple(y[:d.n])
@@ -336,9 +357,9 @@ def ref_block_groups(ctx):
             0 if all(x >= 0 for x in item[1]) and 0 < ctx.W(item[1]) <= -S
             else 1, item[1]))
         W, label, k = g[0]
-        blocks.append(BlockLabel(label=label, witness=k, w=Fraction(W, ctx.R),
+        blocks.append(BlockLabel(label=label, witness=k, W=W,
                                  aliases=tuple(lab for _, lab, _ in g[1:])))
-    blocks.sort(key=lambda b: (b.w, b.label))
+    blocks.sort(key=lambda b: (b.W, b.label))
     return blocks
 
 
@@ -450,13 +471,22 @@ def run_certificate_roundtrip_properties(max_examples):
     """Serialize/parse a generation certificate and re-verify it.
 
     The datum is a catalog extraction or an ``_extraction_datums`` draw, so
-    certificates also meet merged blocks and rays that are not a basis.  The
-    depth guard refuses exactly the certificates whose longest descent
-    exceeds it, and a tampered certificate that verifies has no cycle.
+    certificates also meet merged blocks and rays that are not a basis.
+    Besides free targets in [-6, 6]^n, each draw targets the zero-extended
+    labels of one to three drawn blocks and one drawn alias of each merged
+    one: their witnessed W is positive, so every such root is a Koszul node
+    and the descent reaches the block's own node.  The depth guard refuses
+    exactly the certificates whose longest descent exceeds it, and a
+    tampered certificate that verifies has no cycle.
     """
 
     catalog = [canned_example(name).datum
                for name in ("a1-half", "a2-third", "a1-half-line")]
+
+    @lru_cache(maxsize=None)
+    def blocks_of(d):
+        """The blocks of ``d``, enumerated once: hypothesis redraws a datum."""
+        return block_labels(datum_context(d))
 
     @_settings(max_examples)
     @given(data=st.data())
@@ -466,7 +496,18 @@ def run_certificate_roundtrip_properties(max_examples):
         targets = [tuple(data.draw(st.integers(min_value=-6, max_value=6))
                          for _ in range(d.n))
                    for _ in range(count)]
+        blocks = blocks_of(d)
+        drawn = data.draw(st.lists(st.sampled_from(blocks), min_size=1,
+                                   max_size=3)) if blocks else []
+        for b in drawn:
+            targets.append(extend_block_label(d, b.label))
+            if b.aliases:
+                alias = data.draw(st.sampled_from(b.aliases))
+                targets.append(extend_block_label(d, alias))
         cert = generation_certificate(d, targets)
+        roots = cert.node_map()
+        assert all(roots[key].kind == "koszul"
+                   for _, key in cert.targets[count:])
         back = certificate_from_obj(certificate_to_obj(cert))
         assert back == cert
         verdict = verify_certificate(d, back)

@@ -48,6 +48,14 @@ def test_validate_pair_rejects_tampered_correspondence(a1_half):
         _validate_pair(replace(a1_half, y_rays=(1, 0)))
     with pytest.raises(ModelMismatch):
         _validate_pair(replace(a1_half, x_rays=(1, 0, 2)))
+    # the fans give r = (2, 2, 1)
+    for orders in ((1, 2, 1), (2, 2, 3)):
+        with pytest.raises(ModelMismatch):
+            _validate_pair(replace(
+                a1_half, datum=replace(a1_half.datum, orders=orders)))
+    for index in (0, 3):
+        with pytest.raises(ModelMismatch):
+            _validate_pair(replace(a1_half, exceptional_index=index))
 
 
 def test_datum_from_fans_rejects_wrong_index(a1_half):

@@ -1,8 +1,11 @@
+import json
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from torsod import canned_fan, generation_certificate
+from torsod import (GenerationCertificate, canned_fan, generation_certificate,
+                    verify_certificate)
 from torsod.errors import SchemaError
 from torsod.serialize import (
     canonical_json_bytes,
@@ -14,7 +17,6 @@ from torsod.serialize import (
     encode_int,
     fan_from_obj,
     fan_to_obj,
-    fraction_from_str,
     fraction_str,
     load_json,
     sha256_hex,
@@ -39,12 +41,6 @@ def test_int_round_trip_and_bigints():
 def test_fraction_strings():
     assert fraction_str(Fraction(-1, 2)) == "-1/2"
     assert fraction_str(Fraction(3)) == "3"
-    assert fraction_from_str("-1/2", "w") == Fraction(-1, 2)
-    assert fraction_from_str("3", "w") == 3
-    with pytest.raises(SchemaError):
-        fraction_from_str("1/0", "w")
-    with pytest.raises(SchemaError):
-        fraction_from_str("pi", "w")
 
 
 def test_canonical_json_is_stable():
@@ -92,6 +88,48 @@ def test_certificate_round_trip(a1_half):
     again = generation_certificate(a1_half.datum, [(1, 1), (-2, 0)])
     assert (canonical_json_bytes(certificate_to_obj(again))
             == canonical_json_bytes(obj))
+
+
+def _json_round_trip(obj):
+    return json.loads(canonical_json_bytes(obj))
+
+
+def test_certificate_json_stores_integer_W(a1_half):
+    d = a1_half.datum
+    obj = _json_round_trip(certificate_to_obj(
+        generation_certificate(d, [(1, 1)])))
+    # R = 2 is not stored: the root L|1,1|0 has w = 1, stored as W = 2
+    root = next(nd for nd in obj["nodes"] if nd["key"] == "L|1,1|0")
+    assert root["W"] == 2 and "w" not in root
+    # an edited W still loads, and the verifier reports it
+    root["W"] = 3
+    back = certificate_from_obj(obj)
+    codes = [v[0] for v in verify_certificate(d, back).violations]
+    assert codes == ["W_MISMATCH"]
+
+
+def test_certificate_json_refuses_the_rational_w(a1_half):
+    obj = _json_round_trip(certificate_to_obj(
+        generation_certificate(a1_half.datum, [(1, 1)])))
+    node = obj["nodes"][0]
+    node["w"] = "1/2"
+    with pytest.raises(SchemaError, match=r"unknown field\(s\) \['w'\]"):
+        certificate_from_obj(obj)
+    del node["W"]
+    with pytest.raises(SchemaError, match=r"missing field\(s\) \['W'\]"):
+        certificate_from_obj(obj)
+
+
+def test_certificate_json_big_W(a1_half):
+    cert = generation_certificate(a1_half.datum, [(1, 1)])
+    big = (1 << 63) + 5
+    nodes = tuple(replace(nd, W=big) if nd.key == "L|1,1|0" else nd
+                  for nd in cert.nodes)
+    huge = GenerationCertificate(targets=cert.targets, nodes=nodes)
+    obj = _json_round_trip(certificate_to_obj(huge))
+    assert next(nd["W"] for nd in obj["nodes"]
+                if nd["key"] == "L|1,1|0") == str(big)
+    assert certificate_from_obj(obj) == huge
 
 
 def test_load_json_errors(tmp_path):

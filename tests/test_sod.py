@@ -2,13 +2,15 @@ import sys
 from dataclasses import replace
 from fractions import Fraction
 from itertools import product
+from math import lcm
 
 import pytest
 
-from props import (ref_block_groups, ref_has_cycle, ref_longest_descent,
+from props import (ref_W, ref_block_groups, ref_has_cycle,
+                   ref_longest_descent, ref_sigma, ref_sigma_alpha,
                    ref_vanishes, ref_window_witness,
                    run_block_group_properties, solved_exceptional_exponent,
-                   weighted_sum, weighted_sum_partial)
+                   weighted_sum)
 from torsod import (
     GenerationCertificate,
     SpanningClass,
@@ -22,8 +24,6 @@ from torsod import (
     generator_count_identity,
     make_datum,
     semiorthogonality_check,
-    sigma,
-    sigma_alpha,
     transfer_is_invertible,
     verify_certificate,
 )
@@ -33,7 +33,8 @@ from torsod.extraction import datum_context
 
 def test_spanning_classes_a1_half(a1_half):
     spans = decompose(a1_half.datum).spans
-    assert sorted(s.w for s in spans) == [Fraction(-1, 2), Fraction(-1, 2), 0, 0]
+    # R = 2: w in {-1/2, 0}
+    assert sorted(s.W for s in spans) == [-1, -1, 0, 0]
     labels = {s.label for s in spans}
     assert len(labels) == 4
     # the trivial class is always in the window
@@ -53,11 +54,12 @@ def test_class_group_a1_half(a1_half):
 
 def test_blocks_a1_half(a1_half):
     blocks = decompose(a1_half.datum).blocks
-    assert [(b.label, b.w) for b in blocks] == [
-        ((0, 1), Fraction(1, 2)),
-        ((1, 0), Fraction(1, 2)),
-        ((0, 2), Fraction(1)),
-        ((1, 1), Fraction(1)),
+    # R = 2: w in {1/2, 1}
+    assert [(b.label, b.W) for b in blocks] == [
+        ((0, 1), 1),
+        ((1, 0), 1),
+        ((0, 2), 2),
+        ((1, 1), 2),
     ]
     assert all(b.witness == 0 for b in blocks)
     assert all(b.aliases == () for b in blocks)
@@ -68,11 +70,11 @@ def test_blocks_a1_half(a1_half):
 def test_blocks_a2_third(a2_third):
     blocks = decompose(a2_third.datum).blocks
     assert len(blocks) == 18
-    ws = sorted(set(b.w for b in blocks))
-    assert ws == [Fraction(1, 3), Fraction(2, 3), Fraction(1),
-                  Fraction(4, 3), Fraction(5, 3), Fraction(2)]
-    for w in ws:
-        assert sum(1 for b in blocks if b.w == w) == 3
+    # R = 3: w in {1/3, 2/3, ..., 2}
+    Ws = sorted(set(b.W for b in blocks))
+    assert Ws == [1, 2, 3, 4, 5, 6]
+    for W in Ws:
+        assert sum(1 for b in blocks if b.W == W) == 3
 
 
 def test_blocks_merge_on_twist(twist_datum):
@@ -190,7 +192,7 @@ def test_fully_faithful_check(extraction_pairs):
 def _all_pairs_verdict(dec):
     """Reference: check every ordered pair of spanning classes directly."""
     d = dec.ctx.datum
-    sa = sigma_alpha(d)
+    sa = ref_sigma_alpha(d)
     pairs_ok = True
     for p in dec.spans:
         for q in dec.spans:
@@ -203,7 +205,7 @@ def _all_pairs_verdict(dec):
 
 def _inject(dec, label):
     """The decomposition ``dec`` with one more spanning class, ``label``."""
-    extra = SpanningClass(label=label, w=weighted_sum(dec.ctx.datum, label))
+    extra = SpanningClass(label=label, W=ref_W(dec.ctx.datum, label))
     return replace(dec, spans=dec.spans + (extra,))
 
 
@@ -223,7 +225,7 @@ def test_fully_faithful_matches_all_pairs(extraction_pairs, twist_datum):
                     verdicts.append(report.ok)
         # For an extraction one exceptional stride exceeds sigma_alpha, so a
         # class one stride below the lowest spanning class breaks both checks.
-        low = min(dec.spans, key=lambda c: c.w)
+        low = min(dec.spans, key=lambda c: c.W)
         injected = _inject(dec, low.label[:-1] + (low.label[-1] + 1,))
         assert not fully_faithful_check(injected).ok
         assert not _all_pairs_verdict(injected)
@@ -248,16 +250,21 @@ def test_semiorthogonality_uses_lattice_reason(twist_datum):
 
 def _check_against_fraction_reference(d, box):
     """Integer windows, witnesses and vanishing tests vs the rational ones."""
-    sa, s = sigma_alpha(d), sigma(d)
-    a_last, r_last = d.coefficients[-1], d.orders[-1]
+    sa, s = ref_sigma_alpha(d), ref_sigma(d)
+    R = lcm(*d.orders)
+
+    def ref_w(label, witness):
+        """w of ``label`` zero-extended, with exceptional exponent ``witness``."""
+        return weighted_sum(d, tuple(label) + (0,) * (d.n - len(label))
+                            + (witness,))
 
     dec = decompose(d)
     for c in dec.spans:
-        assert c.w == weighted_sum(d, c.label) and -sa < c.w <= 0
+        w = weighted_sum(d, c.label)
+        assert c.W == R * w and -sa < w <= 0
     for b in dec.blocks:
-        assert b.w == (weighted_sum_partial(d, b.label)
-                       + Fraction(a_last * b.witness, r_last))
-        assert 0 < b.w <= -s
+        w = ref_w(b.label, b.witness)
+        assert b.W == R * w and 0 < w <= -s
 
     expected = {}
     for e in semiorthogonality_check(dec).entries:
@@ -271,9 +278,8 @@ def _check_against_fraction_reference(d, box):
     targets = list(product(range(-box, box + 1), repeat=d.n))
     cert = generation_certificate(d, targets)
     for node in cert.nodes:
-        w = (weighted_sum_partial(d, node.label)
-             + Fraction(a_last * node.witness, r_last))
-        assert node.w == w, node.key
+        w = ref_w(node.label, node.witness)
+        assert node.W == R * w, node.key
         # every node's w lies in the one-stride window (-sigma_alpha, -sigma]
         assert node.witness == ref_window_witness(d, node.label), node.key
         if node.kind == "span":
@@ -311,7 +317,7 @@ def test_certificate_structure(a1_half):
     root_key = cert.targets[0][1]
     assert root_key == "L|1,1|0"
     root = cert.node_map()[root_key]
-    assert root.w == 1 and len(root.children) == 3
+    assert root.W == 2 and len(root.children) == 3   # R = 2: w = 1
 
 
 def test_certificate_nodes_shared_across_targets(a1_half):
@@ -362,15 +368,16 @@ def test_verify_rejects_bad_root_label(a1_half):
 
 def test_verify_rejects_w_mismatch(a1_half):
     cert = small_cert(a1_half)
-    bad = swap_node(cert, "L|0,0|0", w=Fraction(1, 7))
+    # recomputed W = 0; R = 2, so the stored w is 7/2
+    bad = swap_node(cert, "L|0,0|0", W=7)
     assert "W_MISMATCH" in codes_of(a1_half.datum, bad)
 
 
 def test_verify_rejects_leaf_window(a1_half):
     d = a1_half.datum
     cert = small_cert(a1_half)
-    # push a spanning leaf far below the window, keeping w consistent
-    bad = swap_node(cert, "L|0,0|0", witness=3, w=Fraction(-6))
+    # push a spanning leaf far below the window, keeping W consistent
+    bad = swap_node(cert, "L|0,0|0", witness=3, W=-12)
     assert "LEAF_WINDOW" in codes_of(d, bad)
 
 
@@ -382,7 +389,7 @@ def test_verify_rejects_leaf_children(a1_half):
 
 def test_verify_rejects_node_window(a1_half):
     cert = small_cert(a1_half)
-    bad = swap_node(cert, "L|1,1|0", witness=-1, w=Fraction(3))
+    bad = swap_node(cert, "L|1,1|0", witness=-1, W=6)
     assert "NODE_WINDOW" in codes_of(a1_half.datum, bad)
 
 
@@ -440,7 +447,7 @@ def test_verify_rejects_witness_window(a1_half):
     d = a1_half.datum
     cert = generation_certificate(d, [(0, 0)])
     # shift the root witness one stride: w leaves (-sigma_alpha, -sigma]
-    bad = swap_node(cert, "L|0,0|0", witness=1, w=Fraction(-2))
+    bad = swap_node(cert, "L|0,0|0", witness=1, W=-4)
     assert "WITNESS_WINDOW" in codes_of(d, bad)
 
 
@@ -455,9 +462,9 @@ def test_certificates_verify_on_catalog(extraction_pairs):
         # every node's w sits in the half-open fundamental window
         for node in cert.nodes:
             if node.kind == "span":
-                assert node.w <= 0
+                assert node.W <= 0
             else:
-                assert node.w > 0
+                assert node.W > 0
 
 
 # ---------------------------------------------------------------------------
