@@ -179,7 +179,7 @@ def cmd_sod(args) -> int:
                     "target": _fmt_label(e.target),
                     "corner": _fmt_label(e.corner),
                     "label": _fmt_label(e.label), "reason": e.reason}
-                   for e in ortho.entries if not e.certified)))
+                   for e in ortho.failures)))
 
     checks.append(report.Check(
         name="generation-certificate", ok=verdict.ok,

@@ -26,6 +26,7 @@ spanning classes and blocks once, and the checks read its
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -66,16 +67,16 @@ def fiber_transfer_vanishes(ctx: DatumContext, k_local) -> bool:
     n = ctx.datum.n
     if len(k_local) != n:
         raise ValueError(f"local exponent vector must have length {n}")
-    return _vanishes(ctx, k_local)
+    return _vanishes(ctx, ctx.W(k_local))
 
 
-def _vanishes(ctx: DatumContext, k_local) -> bool:
-    """:func:`fiber_transfer_vanishes` without the length check.
+def _vanishes(ctx: DatumContext, W: int) -> bool:
+    """The divisibility certificate on the integer weight W = W(k_local).
 
     The solved exponent -W r_{n+1} / (a_{n+1} R) is an integer multiple of
-    r_{n+1} exactly when a_{n+1} R divides W = W(k_local).
+    r_{n+1} exactly when M = |a_{n+1}| R divides W.
     """
-    return ctx.W(k_local) % (-ctx.datum.coefficients[-1] * ctx.R) != 0
+    return W % (-ctx.datum.coefficients[-1] * ctx.R) != 0
 
 
 @dataclass(frozen=True)
@@ -204,15 +205,20 @@ def block_labels(ctx: DatumContext) -> list[BlockLabel]:
     groups: dict[tuple, list[tuple]] = {}
     for rep in group.classes():
         label = preferred.get(rep, rep)
-        witness = _window_witness(ctx, label)
-        W = ctx.W(label) - ctx.C * witness   # in (-S_alpha, -S]
+        W_label = ctx.W(label)
+        witness = _window_witness(ctx, W_label)
+        W = W_label - ctx.C * witness   # in (-S_alpha, -S]
         if W > 0:
             groups.setdefault(ctx.tau.reduce(label), []).append(
                 (W, label, witness))
 
     def rep_quality(item):
-        _, lab, _ = item
-        nice = all(x >= 0 for x in lab) and 0 < ctx.W(lab) <= -S
+        # A grouped candidate has its witnessed W in (0, -S], inside the
+        # one-stride window (-S_alpha, -S]; so W(lab) itself lies in (0, -S]
+        # exactly when witness 0 puts it in the window, i.e. when the unique
+        # witness is 0.
+        _, lab, witness = item
+        nice = all(x >= 0 for x in lab) and witness == 0
         return (0 if nice else 1, lab)
 
     blocks: list[BlockLabel] = []
@@ -344,10 +350,50 @@ class OrthogonalityEntry:
     reason: str                    # "interval" | "lattice"
 
 
+class _Entries(Sequence):
+    """The orthogonality entries of one report, each built when it is read.
+
+    A row is ``(kind, source, target, corner, certified)``.  The entry's
+    local label source[:n] - target - 1_corner (labels zero-extended to
+    length n) and its reason are derived from the row on access.
+    """
+
+    __slots__ = ("_n", "_rows")
+
+    def __init__(self, n: int, rows: list[tuple]):
+        self._n = n
+        self._rows = rows
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(map(self._entry, self._rows[index]))
+        return self._entry(self._rows[index])
+
+    def __iter__(self):
+        return map(self._entry, self._rows)
+
+    def _entry(self, row) -> OrthogonalityEntry:
+        kind, source, target, corner, certified = row
+        label = list(source[:self._n]) + [0] * (self._n - len(source))
+        for i, x in enumerate(target):
+            label[i] -= x
+        for i in corner:
+            label[i] -= 1
+        return OrthogonalityEntry(
+            kind=kind, source=source, target=target, corner=corner,
+            label=tuple(label), certified=certified,
+            reason="lattice" if kind == "equal-w" and not corner
+            else "interval")
+
+
 @dataclass(frozen=True)
 class SemiorthogonalityReport:
     ok: bool
-    entries: tuple[OrthogonalityEntry, ...]
+    entries: Sequence[OrthogonalityEntry]       # built on access
+    failures: tuple[OrthogonalityEntry, ...]    # the uncertified entries
 
 
 def semiorthogonality_check(dec: Decomposition) -> SemiorthogonalityReport:
@@ -358,56 +404,54 @@ def semiorthogonality_check(dec: Decomposition) -> SemiorthogonalityReport:
     directions).  Interval certificates place the solved exceptional exponent
     strictly between consecutive integers; the remaining equal-w corner uses
     exact non-membership in the transfer lattice.
+
+    Interval verdicts read the integer weights the records already store.
+    W is linear, a spanning class l stores W of its length-(n+1) label and a
+    block b stores its witnessed W = W(b.label) - C * b.witness, so the
+    local label l[:n] - b_ext - 1_S has weight
+
+        (l.W + C * l.label[n]) - (b.W + C * b.witness) - sum_{i in S} c_i,
+
+    and the same with a block in place of l for block pairs.  The corner
+    sums are found once per call, and each verdict is that weight mod
+    M = |a_{n+1}| R != 0 (:func:`_vanishes`).  ``entries`` keeps one compact
+    row per entry and builds an :class:`OrthogonalityEntry` only when read;
+    ``failures`` holds the uncertified entries, in order.
     """
     ctx = dec.ctx
     d = ctx.datum
-    alpha = d.alpha
-    entries: list[OrthogonalityEntry] = []
-    corners = koszul_corners(alpha)
-    blocks = [(b, extend_block_label(d, b.label)) for b in dec.blocks]
+    n, C = d.n, ctx.C
+    corners = [(subset, sum(ctx.c[i] for i in subset))
+               for subset in koszul_corners(d.alpha)]
+    blocks = [(b, b.W + C * b.witness) for b in dec.blocks]
+    rows: list[tuple] = []
 
     for l in dec.spans:
-        for b, b_ext in blocks:
-            base = tuple(map(sub, l.label, b_ext))
-            entries.append(OrthogonalityEntry(
-                kind="span-block",
-                source=l.label, target=b.label, corner=(),
-                label=base,
-                certified=_vanishes(ctx, base),
-                reason="interval"))
+        W_l = l.W + C * l.label[n]
+        rows.extend([("span-block", l.label, b.label, (),
+                      _vanishes(ctx, W_l - W_b)) for b, W_b in blocks])
 
-    for b, b_ext in blocks:
-        for c, c_ext in blocks:
+    for b, W_b in blocks:
+        for c, W_c in blocks:
             if b is c:
                 continue
-            base = tuple(map(sub, b_ext, c_ext))
+            base = W_b - W_c
             if c.W > b.W:
-                for subset in corners:
-                    lab = _shifted(base, subset)
-                    entries.append(OrthogonalityEntry(
-                        kind="block-block",
-                        source=b.label, target=c.label, corner=subset,
-                        label=lab,
-                        certified=_vanishes(ctx, lab),
-                        reason="interval"))
+                rows.extend([("block-block", b.label, c.label, subset,
+                              _vanishes(ctx, base - part))
+                             for subset, part in corners])
             elif c.W == b.W:
-                entries.append(OrthogonalityEntry(
-                    kind="equal-w",
-                    source=b.label, target=c.label, corner=(),
-                    label=base,
-                    certified=not ctx.tau.contains(base[:alpha]),
-                    reason="lattice"))
-                for subset in corners[1:]:
-                    lab = _shifted(base, subset)
-                    entries.append(OrthogonalityEntry(
-                        kind="equal-w",
-                        source=b.label, target=c.label, corner=subset,
-                        label=lab,
-                        certified=_vanishes(ctx, lab),
-                        reason="interval"))
+                rows.append(("equal-w", b.label, c.label, (),
+                             not ctx.tau.contains(
+                                 tuple(map(sub, b.label, c.label)))))
+                rows.extend([("equal-w", b.label, c.label, subset,
+                              _vanishes(ctx, base - part))
+                             for subset, part in corners[1:]])
 
-    return SemiorthogonalityReport(
-        ok=all(e.certified for e in entries), entries=tuple(entries))
+    entries = _Entries(n, rows)
+    failures = tuple(entries._entry(row) for row in rows if not row[-1])
+    return SemiorthogonalityReport(ok=not failures, entries=entries,
+                                   failures=failures)
 
 
 def generator_count_identity(dec: Decomposition):
@@ -472,14 +516,14 @@ def _node_key(prefix: str, label, witness: int) -> str:
     return f"{prefix}|{','.join(str(x) for x in label)}|{witness}"
 
 
-def _window_witness(ctx: DatumContext, label) -> int:
-    """Unique integer exceptional exponent with W in (-S_alpha, -S].
+def _window_witness(ctx: DatumContext, W_n: int) -> int:
+    """Unique integer exceptional exponent k with W_n - C k in (-S_alpha, -S].
 
+    ``W_n`` is the weight W(label) of a label without exceptional exponent.
     The window has length S_alpha - S = C, exactly one exponent stride, so
     the integer always exists and is unique.
     """
     C = ctx.C
-    W_n = ctx.W(label)
     k = -(-(ctx.S + W_n) // C)
     if not (C * k < ctx.S_alpha + W_n):
         raise AssertionError("witness window miscomputed")
@@ -500,6 +544,9 @@ def generation_certificate(d: ExtractionDatum, targets,
     corner e_i at that minimum lowers it by exactly m, so the longest descent
     from a root with W_0 > 0 has exactly ceil(W_0 / m) steps.  That bound is
     checked against ``max_depth`` for every target before any node is built.
+
+    Each root's W is computed once; down the descent a corner's W is its
+    parent's minus the corner sum, found once per call.
     """
     ctx = _extraction_context(d)
     n, alpha = d.n, d.alpha
@@ -509,26 +556,27 @@ def generation_certificate(d: ExtractionDatum, targets,
         label = tuple(int(x) for x in target)
         if len(label) != n:
             raise ValueError(f"target label must have length {n}")
-        roots.append((label, _window_witness(ctx, label)))
+        W_label = ctx.W(label)
+        witness = _window_witness(ctx, W_label)
+        roots.append((label, witness, W_label - C * witness))
     m = min(ctx.c[:alpha])   # ceil(W_0 / m) steps, none from a span root
-    if any(max(0, -(-(ctx.W(label) - C * witness) // m)) > max_depth
-           for label, witness in roots):
+    if any(max(0, -(-W // m)) > max_depth for _, _, W in roots):
         raise errors.DepthExceeded(
             f"generation recursion exceeded depth {max_depth}")
 
-    corners = koszul_corners(alpha)[1:]
+    corners = [(subset, sum(ctx.c[i] for i in subset))
+               for subset in koszul_corners(alpha)[1:]]
     nodes: dict[tuple, CertificateNode] = {}
-    for pos, (root, witness) in enumerate(roots):
+    for pos, (root, witness, W_root) in enumerate(roots):
         # A koszul node is popped twice: first to push its corners, then,
         # with every corner built, to be built itself.  Corners have a smaller
         # coordinate sum, so they never lead back to a node on the stack.
-        stack = [(root, None)]
+        stack = [(root, W_root, None)]
         while stack:
-            label, kids = stack.pop()
+            label, W, kids = stack.pop()
             ident = ("L", label, witness)
             if kids is None and ident in nodes:
                 continue
-            W = ctx.W(label) - C * witness
             if W <= 0:
                 if not (-ctx.S_alpha < W):
                     raise AssertionError("spanning leaf outside its window")
@@ -538,9 +586,10 @@ def generation_certificate(d: ExtractionDatum, targets,
             elif kids is None:
                 if not (W <= -ctx.S):
                     raise AssertionError("koszul node outside its window")
-                kids = [_shifted(label, subset) for subset in corners]
-                stack.append((label, kids))
-                stack.extend((kid, None) for kid in kids)
+                kids = [(_shifted(label, subset), W - part)
+                        for subset, part in corners]
+                stack.append((label, W, kids))
+                stack.extend((kid, W_kid, None) for kid, W_kid in kids)
             else:
                 bident = ("B", label, witness)
                 block = nodes[bident] = CertificateNode(
@@ -550,7 +599,7 @@ def generation_certificate(d: ExtractionDatum, targets,
                     key=_node_key(*ident), label=label, witness=witness, W=W,
                     kind="koszul",
                     children=tuple(nodes["L", kid, witness].key
-                                   for kid in kids),
+                                   for kid, _ in kids),
                     block_key=block.key)
         roots[pos] = (root, nodes["L", root, witness].key)
     ordered = tuple(sorted(nodes.values(), key=lambda nd: nd.key))
@@ -592,14 +641,12 @@ def verify_certificate(d: ExtractionDatum,
             violations.append(("DUPLICATE_KEY", node.key, "key appears twice"))
         node_map[node.key] = node
 
-    def wval(node):
-        return ctx.W(node.label) - ctx.C * node.witness
-
+    recomputed: dict[str, int] = {}   # key -> W recomputed from the label
     for node in cert.nodes:
         if len(node.label) != n:
             violations.append(("BAD_LABEL", node.key, "label length"))
             continue
-        W = wval(node)
+        W = recomputed[node.key] = ctx.W(node.label) - ctx.C * node.witness
         if W != node.W:
             violations.append(("W_MISMATCH", node.key,
                                f"recomputed {Fraction(W, R)}, "
@@ -658,7 +705,7 @@ def verify_certificate(d: ExtractionDatum,
                                f"root label {root.label} != target {label}"))
         if len(root.label) != n:
             continue   # BAD_LABEL is already reported for this node
-        W = wval(root)
+        W = recomputed[root_key]
         if not (-Sa < W <= -S):
             violations.append(("WITNESS_WINDOW", root_key,
                                f"w = {Fraction(W, R)}"))

@@ -25,7 +25,7 @@ from torsod import (
     verify_certificate,
 )
 from torsod.errors import DepthExceeded
-from torsod.extraction import datum_context
+from torsod.extraction import datum_context, koszul_corners
 from torsod.lattice import (
     cokernel,
     determinant,
@@ -37,8 +37,9 @@ from torsod.lattice import (
     solve_rational,
 )
 from torsod.serialize import certificate_from_obj, certificate_to_obj
-from torsod.sod import (BlockLabel, _restricted_class_lattice, _vanishes,
-                        _window_witness, block_labels)
+from torsod.sod import (BlockLabel, OrthogonalityEntry,
+                        _restricted_class_lattice, _vanishes, _window_witness,
+                        block_labels)
 
 
 def _settings(max_examples):
@@ -269,6 +270,58 @@ def ref_vanishes(d, k_local):
     return not (e.denominator == 1 and e.numerator % d.orders[-1] == 0)
 
 
+def ref_semiorthogonality_entries(dec):
+    """Reference for ``semiorthogonality_check``: the eager entry list.
+
+    Every entry is built in place, its label by subtracting labels and the
+    corner indicator, and its interval verdict from the weight of that label.
+    """
+    ctx = dec.ctx
+    d = ctx.datum
+    alpha = d.alpha
+    corners = koszul_corners(alpha)
+    blocks = [(b, extend_block_label(d, b.label)) for b in dec.blocks]
+
+    def shifted(label, subset):
+        return tuple(x - (i in subset) for i, x in enumerate(label))
+
+    def vanishes(label):
+        return _vanishes(ctx, ctx.W(label))
+
+    entries = []
+    for l in dec.spans:
+        for b, b_ext in blocks:
+            base = tuple(x - y for x, y in zip(l.label, b_ext))
+            entries.append(OrthogonalityEntry(
+                kind="span-block", source=l.label, target=b.label, corner=(),
+                label=base, certified=vanishes(base), reason="interval"))
+    for b, b_ext in blocks:
+        for c, c_ext in blocks:
+            if b is c:
+                continue
+            base = tuple(x - y for x, y in zip(b_ext, c_ext))
+            if c.W > b.W:
+                for subset in corners:
+                    lab = shifted(base, subset)
+                    entries.append(OrthogonalityEntry(
+                        kind="block-block", source=b.label, target=c.label,
+                        corner=subset, label=lab, certified=vanishes(lab),
+                        reason="interval"))
+            elif c.W == b.W:
+                entries.append(OrthogonalityEntry(
+                    kind="equal-w", source=b.label, target=c.label,
+                    corner=(), label=base,
+                    certified=not ctx.tau.contains(base[:alpha]),
+                    reason="lattice"))
+                for subset in corners[1:]:
+                    lab = shifted(base, subset)
+                    entries.append(OrthogonalityEntry(
+                        kind="equal-w", source=b.label, target=c.label,
+                        corner=subset, label=lab, certified=vanishes(lab),
+                        reason="interval"))
+    return entries
+
+
 def run_weighted_sum_properties(max_examples):
     """w is linear, kills the relation, and sums to sigma on the all-ones.
 
@@ -303,8 +356,9 @@ def run_weighted_sum_properties(max_examples):
         with pytest.raises(ValueError):
             ctx.W(x + [0])
         label = tuple(y[:d.n])
-        assert _window_witness(ctx, label) == ref_window_witness(d, label)
-        assert _vanishes(ctx, label) == ref_vanishes(d, label)
+        W = ctx.W(label)
+        assert _window_witness(ctx, W) == ref_window_witness(d, label)
+        assert _vanishes(ctx, W) == ref_vanishes(d, label)
 
     check()
 

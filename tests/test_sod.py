@@ -7,11 +7,12 @@ from math import lcm
 import pytest
 
 from props import (ref_W, ref_block_groups, ref_has_cycle,
-                   ref_longest_descent, ref_sigma, ref_sigma_alpha,
-                   ref_vanishes, ref_window_witness,
-                   run_block_group_properties, solved_exceptional_exponent,
-                   weighted_sum)
+                   ref_longest_descent, ref_semiorthogonality_entries,
+                   ref_sigma, ref_sigma_alpha, ref_vanishes,
+                   ref_window_witness, run_block_group_properties,
+                   solved_exceptional_exponent, weighted_sum)
 from torsod import (
+    BlockLabel,
     GenerationCertificate,
     SpanningClass,
     canned_example,
@@ -27,8 +28,17 @@ from torsod import (
     transfer_is_invertible,
     verify_certificate,
 )
+from torsod import sod
 from torsod.errors import DepthExceeded, RequiresExtraction
-from torsod.extraction import datum_context
+from torsod.extraction import DatumContext, datum_context
+
+# Two extractions with r_{n+1} = 2, so the stride C = 10 is not the
+# divisibility modulus M = |a_{n+1}| R = 20.
+R2_DATUMS = (
+    make_datum(((1, 0), (1, 2), (1, 1)), (1, 1, -2), (5, 5, 2)),
+    make_datum(((1, 0, 0), (1, 2, 0), (1, 1, 2), (1, 1, 0)), (1, 1, 0, -2),
+               (5, 5, 1, 2)),
+)
 
 
 def test_spanning_classes_a1_half(a1_half):
@@ -246,6 +256,88 @@ def test_semiorthogonality_uses_lattice_reason(twist_datum):
     lattice_entries = [e for e in report.entries if e.reason == "lattice"]
     assert lattice_entries
     assert all(e.kind == "equal-w" for e in lattice_entries)
+
+
+def test_semiorthogonality_verdicts_on_a_failing_decomposition():
+    # Neighbours of spanning classes and shifted blocks break the
+    # decomposition, so verdicts of both signs come from every weight term;
+    # every test datum elsewhere has C == M and certifies every entry.
+    for d in R2_DATUMS:
+        dec = decompose(d)
+        assert dec.ctx.C * d.orders[-1] == -d.coefficients[-1] * dec.ctx.R
+        assert dec.ctx.C != -d.coefficients[-1] * dec.ctx.R
+        for c in dec.spans[:6]:
+            for i in range(d.n + 1):
+                for step in (-1, 1):
+                    dec = _inject(dec, c.label[:i] + (c.label[i] + step,)
+                                  + c.label[i + 1:])
+        b = dec.blocks[0]
+        label = (b.label[0] + 1,) + b.label[1:]
+        ext = extend_block_label(d, label)
+        k = ref_window_witness(d, ext)
+        # the window witness, and one stride off it to reach block pairs
+        # that no window-valid block can fail
+        shifted = tuple(BlockLabel(label=label, witness=j,
+                                   W=ref_W(d, ext + (j,))) for j in (k, k + 1))
+        dec = replace(dec, blocks=dec.blocks + shifted)
+
+        report = semiorthogonality_check(dec)
+        expected = {}
+        for e in report.entries:
+            if e.reason == "interval":
+                if e.label not in expected:
+                    expected[e.label] = ref_vanishes(d, e.label)
+                assert e.certified == expected[e.label], e
+        assert report.failures == tuple(e for e in report.entries
+                                        if not e.certified)
+        assert report.ok == (not report.failures)
+        assert {e.kind for e in report.failures} == {
+            "span-block", "block-block", "equal-w"}
+
+
+def test_lazy_entries_equal_the_eager_reference(extraction_pairs,
+                                                twist_datum, stress_datum):
+    datums = [pair.datum for pair in extraction_pairs]
+    for d in datums + [twist_datum, stress_datum, *R2_DATUMS]:
+        dec = decompose(d)
+        report = semiorthogonality_check(dec)
+        expected = ref_semiorthogonality_entries(dec)
+        assert list(report.entries) == expected
+        assert len(report.entries) == len(expected)
+        assert report.ok and report.failures == ()
+
+    entries = report.entries    # the last datum's
+    assert entries[::-7] == tuple(expected[::-7])
+    stress = semiorthogonality_check(decompose(stress_datum)).entries
+    expected = ref_semiorthogonality_entries(decompose(stress_datum))
+    assert len(stress) == 53352
+    assert stress[-1] == expected[-1] and stress[-53352] == expected[0]
+    assert stress[40820:40830] == tuple(expected[40820:40830])
+    with pytest.raises(IndexError):
+        stress[53352]
+
+
+def test_semiorthogonality_builds_no_entry_until_read(monkeypatch,
+                                                      stress_datum):
+    built = []
+    entry = sod.OrthogonalityEntry
+    monkeypatch.setattr(sod, "OrthogonalityEntry",
+                        lambda **kw: built.append(1) or entry(**kw))
+    report = semiorthogonality_check(decompose(stress_datum))
+    assert report.ok and built == []
+    assert sum(1 for _ in report.entries) == 53352 == len(built)
+
+
+def test_certificate_computes_one_weight_per_target(monkeypatch,
+                                                    stress_datum):
+    calls = []
+    W = DatumContext.W
+    monkeypatch.setattr(DatumContext, "W",
+                        lambda self, k: calls.append(1) or W(self, k))
+    targets = list(product(range(-6, 7), repeat=stress_datum.n))
+    cert = generation_certificate(stress_datum, targets)
+    assert len(targets) == 28561 and len(cert.nodes) == 45123
+    assert len(calls) <= len(targets)
 
 
 def _check_against_fraction_reference(d, box):
