@@ -116,14 +116,27 @@ def cmd_classify(args) -> int:
 # sod
 
 
+def _certificate_check(datum, cert: sod.GenerationCertificate) -> report.Check:
+    """Verify ``cert`` and build its row; a certificate passed inline is
+    freed when this returns."""
+    verdict = sod.verify_certificate(datum, cert)
+    return report.Check(
+        name="generation-certificate", ok=verdict.ok,
+        summary=f"{len(cert.targets)} targets, {len(cert.nodes)} nodes, "
+                f"{len(verdict.violations)} violations",
+        rows=tuple({"code": code, "node": key, "detail": detail}
+                   for code, key, detail in verdict.violations))
+
+
 def cmd_sod(args) -> int:
     name, datum, _, digest = _load_datum(args.model)
     # The certificate refuses an over-deep descent before any enumeration.
+    # Its row is built at once, so the certificate is freed before the
+    # decomposition is enumerated; the row still comes last.
     bound = args.box
-    targets = list(product(range(-bound, bound + 1), repeat=datum.n))
-    cert = sod.generation_certificate(datum, targets,
-                                      max_depth=args.max_depth)
-    verdict = sod.verify_certificate(datum, cert)
+    cert_check = _certificate_check(datum, sod.generation_certificate(
+        datum, product(range(-bound, bound + 1), repeat=datum.n),
+        max_depth=args.max_depth))
     checks = []
 
     cls = classify(datum)
@@ -181,12 +194,7 @@ def cmd_sod(args) -> int:
                     "label": _fmt_label(e.label), "reason": e.reason}
                    for e in ortho.failures)))
 
-    checks.append(report.Check(
-        name="generation-certificate", ok=verdict.ok,
-        summary=f"{len(targets)} targets, {len(cert.nodes)} nodes, "
-                f"{len(verdict.violations)} violations",
-        rows=tuple({"code": code, "node": key, "detail": detail}
-                   for code, key, detail in verdict.violations)))
+    checks.append(cert_check)
 
     run = report.RunReport(
         tool="torsod", version=__version__,

@@ -30,7 +30,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from operator import mul, sub
+from operator import attrgetter, mul, sub
 
 from . import errors, lattice
 from .extraction import (
@@ -489,8 +489,10 @@ def generator_count_identity(dec: Decomposition):
 # Generation certificates
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CertificateNode:
+    """One DAG node; slotted, since a certificate can hold tens of thousands."""
+
     key: str
     label: tuple[int, ...]        # length n
     witness: int                  # exceptional exponent shared along the DAG
@@ -513,7 +515,7 @@ class GenerationCertificate:
 
 def _node_key(prefix: str, label, witness: int) -> str:
     """Node key: prefix "L" for a line bundle (span or koszul), "B" a block."""
-    return f"{prefix}|{','.join(str(x) for x in label)}|{witness}"
+    return f"{prefix}|{','.join(map(str, label))}|{witness}"
 
 
 def _window_witness(ctx: DatumContext, W_n: int) -> int:
@@ -546,7 +548,10 @@ def generation_certificate(d: ExtractionDatum, targets,
     checked against ``max_depth`` for every target before any node is built.
 
     Each root's W is computed once; down the descent a corner's W is its
-    parent's minus the corner sum, found once per call.
+    parent's minus the corner sum, found once per call.  ``targets`` may be
+    any iterable of labels and is read once.  Line-bundle nodes are looked up
+    in one label map per witness, and the nodes are sorted by key once, at
+    the end.
     """
     ctx = _extraction_context(d)
     n, alpha = d.n, d.alpha
@@ -566,23 +571,26 @@ def generation_certificate(d: ExtractionDatum, targets,
 
     corners = [(subset, sum(ctx.c[i] for i in subset))
                for subset in koszul_corners(alpha)[1:]]
-    nodes: dict[tuple, CertificateNode] = {}
+    built: list[CertificateNode] = []
+    lines: dict[int, dict[tuple[int, ...], CertificateNode]] = {}
     for pos, (root, witness, W_root) in enumerate(roots):
+        # Line-bundle nodes of one witness, by label; a block node is reached
+        # only through its koszul parent, so it needs no lookup.
+        seen = lines.setdefault(witness, {})
         # A koszul node is popped twice: first to push its corners, then,
         # with every corner built, to be built itself.  Corners have a smaller
         # coordinate sum, so they never lead back to a node on the stack.
         stack = [(root, W_root, None)]
         while stack:
             label, W, kids = stack.pop()
-            ident = ("L", label, witness)
-            if kids is None and ident in nodes:
+            if kids is None and label in seen:
                 continue
             if W <= 0:
                 if not (-ctx.S_alpha < W):
                     raise AssertionError("spanning leaf outside its window")
-                nodes[ident] = CertificateNode(
-                    key=_node_key(*ident), label=label, witness=witness,
-                    W=W, kind="span")
+                node = CertificateNode(
+                    key=_node_key("L", label, witness), label=label,
+                    witness=witness, W=W, kind="span")
             elif kids is None:
                 if not (W <= -ctx.S):
                     raise AssertionError("koszul node outside its window")
@@ -590,20 +598,23 @@ def generation_certificate(d: ExtractionDatum, targets,
                         for subset, part in corners]
                 stack.append((label, W, kids))
                 stack.extend((kid, W_kid, None) for kid, W_kid in kids)
+                continue
             else:
-                bident = ("B", label, witness)
-                block = nodes[bident] = CertificateNode(
-                    key=_node_key(*bident), label=label, witness=witness,
-                    W=W, kind="block")
-                nodes[ident] = CertificateNode(
-                    key=_node_key(*ident), label=label, witness=witness, W=W,
-                    kind="koszul",
-                    children=tuple(nodes["L", kid, witness].key
-                                   for kid, _ in kids),
+                block = CertificateNode(
+                    key=_node_key("B", label, witness), label=label,
+                    witness=witness, W=W, kind="block")
+                built.append(block)
+                node = CertificateNode(
+                    key=_node_key("L", label, witness), label=label,
+                    witness=witness, W=W, kind="koszul",
+                    children=tuple(seen[kid].key for kid, _ in kids),
                     block_key=block.key)
-        roots[pos] = (root, nodes["L", root, witness].key)
-    ordered = tuple(sorted(nodes.values(), key=lambda nd: nd.key))
-    return GenerationCertificate(targets=tuple(roots), nodes=ordered)
+            seen[label] = node
+            built.append(node)
+        roots[pos] = (root, seen[root].key)
+    del lines   # free the label maps before sorting and copying the nodes
+    built.sort(key=attrgetter("key"))   # keys are unique
+    return GenerationCertificate(targets=tuple(roots), nodes=tuple(built))
 
 
 @dataclass(frozen=True)
@@ -617,7 +628,8 @@ def verify_certificate(d: ExtractionDatum,
     """Replay every structural rule of a generation certificate.
 
     Checks each stored W and node window against the recomputed W, witness
-    windows at the roots, exact Koszul corner sets with inherited witnesses,
+    windows at the roots (W recomputed from the root's label again, never
+    read from the node), exact Koszul corner sets with inherited witnesses,
     block leaves matching their Koszul parents and the strictly decreasing
     coordinate-sum measure.
     Purely combinatorial; the Euler-characteristic replay against the
@@ -641,12 +653,11 @@ def verify_certificate(d: ExtractionDatum,
             violations.append(("DUPLICATE_KEY", node.key, "key appears twice"))
         node_map[node.key] = node
 
-    recomputed: dict[str, int] = {}   # key -> W recomputed from the label
     for node in cert.nodes:
         if len(node.label) != n:
             violations.append(("BAD_LABEL", node.key, "label length"))
             continue
-        W = recomputed[node.key] = ctx.W(node.label) - ctx.C * node.witness
+        W = ctx.W(node.label) - ctx.C * node.witness
         if W != node.W:
             violations.append(("W_MISMATCH", node.key,
                                f"recomputed {Fraction(W, R)}, "
@@ -669,8 +680,12 @@ def verify_certificate(d: ExtractionDatum,
             if not (0 < W <= -S):
                 violations.append(("NODE_WINDOW", node.key,
                                    f"w = {Fraction(W, R)}"))
-            expected = [(_shifted(node.label, subset), node.witness)
-                        for subset in corners]
+            # The 2^alpha - 1 corners are distinct, so the children are
+            # exactly the corners when they have as many members and the
+            # same set.  A child that is a corner has a smaller sum.
+            expected = {(_shifted(node.label, subset), node.witness)
+                        for subset in corners}
+            measure = sum(node.label)
             got = []
             for ckey in node.children:
                 child = node_map.get(ckey)
@@ -678,11 +693,12 @@ def verify_certificate(d: ExtractionDatum,
                     violations.append(("MISSING_NODE", node.key,
                                        f"child {ckey} absent"))
                     continue
-                got.append((child.label, child.witness))
-                if sum(child.label) >= sum(node.label):
+                item = (child.label, child.witness)
+                got.append(item)
+                if item not in expected and sum(child.label) >= measure:
                     violations.append(("MEASURE", node.key,
                                        f"child {ckey} does not decrease"))
-            if sorted(got) != sorted(expected):
+            if not (len(got) == len(expected) and set(got) == expected):
                 violations.append(("CORNER_SET", node.key,
                                    "children are not the Koszul corners"))
             block = node_map.get(node.block_key or "")
@@ -705,7 +721,7 @@ def verify_certificate(d: ExtractionDatum,
                                f"root label {root.label} != target {label}"))
         if len(root.label) != n:
             continue   # BAD_LABEL is already reported for this node
-        W = recomputed[root_key]
+        W = ctx.W(root.label) - ctx.C * root.witness
         if not (-Sa < W <= -S):
             violations.append(("WITNESS_WINDOW", root_key,
                                f"w = {Fraction(W, R)}"))

@@ -501,6 +501,38 @@ def test_verify_rejects_corner_set(a1_half):
     assert "CORNER_SET" in codes_of(a1_half.datum, bad)
 
 
+def test_verify_rejects_a_corner_listed_twice(a1_half):
+    # Three children, but one corner stands in for another.
+    cert = small_cert(a1_half)
+    bad = swap_node(cert, "L|1,1|0",
+                    children=("L|0,1|0", "L|0,1|0", "L|0,0|0"))
+    assert codes_of(a1_half.datum, bad) == {"CORNER_SET"}
+
+
+def test_verify_rejects_an_extra_duplicate_child(a1_half):
+    # Every corner is there and nothing else, but one of them twice.
+    cert = small_cert(a1_half)
+    root = cert.node_map()["L|1,1|0"]
+    bad = swap_node(cert, "L|1,1|0",
+                    children=root.children + (root.children[0],))
+    assert codes_of(a1_half.datum, bad) == {"CORNER_SET"}
+
+
+def test_verify_rejects_a_corner_with_another_witness(a1_half):
+    # The child has the corner's label (0, 0) but witness 1, not 0.
+    d = a1_half.datum
+    cert = small_cert(a1_half)
+    C = datum_context(d).C
+    other = replace(cert.node_map()["L|0,0|0"], key="L|0,0|1", witness=1,
+                    W=-C)
+    root = cert.node_map()["L|1,1|0"]
+    children = tuple("L|0,0|1" if c == "L|0,0|0" else c
+                     for c in root.children)
+    bad = swap_node(tamper(cert, nodes=cert.nodes + (other,)), "L|1,1|0",
+                    children=children)
+    assert "CORNER_SET" in codes_of(d, bad)
+
+
 def test_verify_rejects_measure_and_cycle(a1_half):
     # A self-loop is a cycle, and the edge closing it fails MEASURE.
     cert = small_cert(a1_half)
@@ -541,6 +573,23 @@ def test_verify_rejects_witness_window(a1_half):
     # shift the root witness one stride: w leaves (-sigma_alpha, -sigma]
     bad = swap_node(cert, "L|0,0|0", witness=1, W=-4)
     assert "WITNESS_WINDOW" in codes_of(d, bad)
+
+
+def test_verify_recomputes_the_root_weight(a1_half):
+    # The root's witness moves one stride while its stored W stays in the
+    # window: the recomputed W, not the stored one, decides the window.
+    d = a1_half.datum
+    cert = generation_certificate(d, [(0, 0)])
+    bad = swap_node(cert, "L|0,0|0", witness=1)
+    assert {"W_MISMATCH", "WITNESS_WINDOW"} <= codes_of(d, bad)
+
+
+def test_certificate_reads_its_targets_once(a1_half, stress_datum):
+    for d in (a1_half.datum, stress_datum):
+        targets = list(product(range(-2, 3), repeat=d.n))
+        cert = generation_certificate(d, iter(targets))
+        assert cert == generation_certificate(d, targets)
+        assert len(cert.targets) == len(targets)
 
 
 def test_certificates_verify_on_catalog(extraction_pairs):
