@@ -259,7 +259,7 @@ def cmd_oracle(args) -> int:
                 models.semiorthogonality_oracle_check(pair, dec, fiber)))
             checks.append(_cross_check_to_check(
                 models.transfer_dichotomy_check(pair, dec, bound, fiber)))
-            targets = [head + (0,) * (datum.n - datum.alpha)
+            targets = [sod.extend_block_label(datum, head)
                        for head in product(range(-bound, bound + 1),
                                            repeat=datum.alpha)]
             cert = sod.generation_certificate(datum, targets)

@@ -42,10 +42,6 @@ class ExtractionDatum:
             count += 1
         return count
 
-    @property
-    def exceptional_ray(self) -> tuple[int, ...]:
-        return self.rays[-1]
-
 
 def make_datum(rays, coefficients, orders) -> ExtractionDatum:
     """Build and validate a datum from plain sequences."""
@@ -79,11 +75,9 @@ def validate(d: ExtractionDatum) -> None:
     for i, v in enumerate(d.rays):
         if all(x == 0 for x in v):
             raise errors.NonPrimitiveRay(f"ray v[{i}] is zero")
-        g = 0
-        for x in v:
-            g = gcd(g, x)
-        if g != 1:
-            raise errors.NonPrimitiveRay(f"ray v[{i}] has content {g}")
+        _, mult = lattice.primitivize(v)
+        if mult != 1:
+            raise errors.NonPrimitiveRay(f"ray v[{i}] has content {mult}")
     seen: dict[tuple[int, ...], int] = {}
     for i, v in enumerate(d.rays):
         if v in seen:

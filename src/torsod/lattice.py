@@ -20,14 +20,6 @@ def identity_matrix(n: int) -> Matrix:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    if a and b and len(a[0]) != len(b):
-        raise ValueError("matrix shapes do not compose")
-    cols = len(b[0]) if b else 0
-    return [[sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(cols)]
-            for i in range(len(a))]
-
-
 def mat_vec(a: Matrix, v) -> list[int]:
     return [sum(row[k] * v[k] for k in range(len(v))) for row in a]
 
@@ -202,31 +194,48 @@ def diagonal_of(d: Matrix) -> list[int]:
     return [d[i][i] for i in range(min(len(d), len(d[0]) if d else 0))]
 
 
+def _echelon(mat: Matrix) -> tuple[int, int, int]:
+    """Fraction-free (Bareiss) row echelon form: (rank, swap sign, last pivot).
+
+    A column with no nonzero entry at or below the current row is skipped, so
+    the input may be rectangular or rank-deficient.  After each pivot every
+    remaining entry is an exact minor of the input (Bareiss 1968), so the
+    division by the previous pivot is exact.  On a square matrix of full
+    rank, sign * last pivot is the determinant.
+    """
+    a = [list(row) for row in mat]
+    nrows = len(a)
+    ncols = len(a[0]) if a else 0
+    rank, sign, prev = 0, 1, 1
+    for col in range(ncols):
+        if rank == nrows:
+            break
+        piv = rank
+        while piv < nrows and not a[piv][col]:
+            piv += 1
+        if piv == nrows:
+            continue
+        if piv != rank:
+            a[rank], a[piv] = a[piv], a[rank]
+            sign = -sign
+        top = a[rank]
+        p = top[col]
+        for row in a[rank + 1:]:
+            x = row[col]
+            for j in range(col + 1, ncols):
+                row[j] = (row[j] * p - x * top[j]) // prev
+        prev = p
+        rank += 1
+    return rank, sign, prev
+
+
 def determinant(mat: Matrix) -> int:
-    """Integer determinant via fraction-free (Bareiss) elimination."""
+    """Integer determinant: the signed last pivot of :func:`_echelon`."""
     n = len(mat)
     if any(len(row) != n for row in mat):
         raise ValueError("determinant of a non-square matrix")
-    if n == 0:
-        return 1
-    a = [list(row) for row in mat]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k]:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+    rank, sign, last = _echelon(mat)
+    return sign * last if rank == n else 0
 
 
 def solve_rational(mat: Matrix, rhs) -> tuple[Fraction, ...] | None:
@@ -241,26 +250,8 @@ def solve_rational(mat: Matrix, rhs) -> tuple[Fraction, ...] | None:
 
 
 def rank_q(mat: Matrix) -> int:
-    """Rank over the rationals (exact, via Fraction elimination)."""
-    a = [[Fraction(x) for x in row] for row in mat]
-    nrows = len(a)
-    ncols = len(a[0]) if a else 0
-    rank = 0
-    for col in range(ncols):
-        piv = next((i for i in range(rank, nrows) if a[i][col]), None)
-        if piv is None:
-            continue
-        a[rank], a[piv] = a[piv], a[rank]
-        inv = 1 / a[rank][col]
-        a[rank] = [x * inv for x in a[rank]]
-        for i in range(nrows):
-            if i != rank and a[i][col]:
-                f = a[i][col]
-                a[i] = [x - f * y for x, y in zip(a[i], a[rank])]
-        rank += 1
-        if rank == nrows:
-            break
-    return rank
+    """Rank over the rationals, by exact integer elimination."""
+    return _echelon(mat)[0]
 
 
 def integer_kernel(mat: Matrix) -> list[Vector]:
@@ -372,15 +363,6 @@ class AbelianGroup:
         """Whether ``vec`` lies in the subgroup that was quotiented out."""
         return all(x == 0 for x in self.reduce(vec))
 
-    def order(self) -> int | None:
-        """Group order, or None when the free rank is positive."""
-        if self.free_rank:
-            return None
-        n = 1
-        for f in self.invariant_factors:
-            n *= f
-        return n
-
     def torsion_lifts(self) -> list[tuple[Vector, int]]:
         """(lift, order) pairs generating the torsion subgroup."""
         out = []
@@ -395,11 +377,13 @@ class AbelianGroup:
                 for i in range(len(self._diag), self.ambient_rank)]
 
     def classes(self) -> list[tuple[int, ...]]:
-        """Canonical representatives of all classes (finite groups only)."""
-        if self.free_rank:
-            raise ValueError("class enumeration requires a finite group")
-        # U^-1 applied to every combo of diagonal residues, in product
-        # order; a diagonal 1 only ever contributes residue 0.
+        """Canonical representatives of the torsion classes.
+
+        These are the torsion lifts' combinations c_i * lift_i with
+        0 <= c_i < d_i, in product order: U^-1 applied to every combo of
+        diagonal residues, each its own :meth:`reduce`.  For a finite group
+        that is every class; a diagonal 1 only ever contributes residue 0.
+        """
         out = [(0,) * self.ambient_rank]
         for lift, order in self.torsion_lifts():
             out = [tuple(x + c * y for x, y in zip(v, lift))

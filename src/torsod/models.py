@@ -214,18 +214,21 @@ def datum_from_fans(fan_x: StackyFan, fan_y: StackyFan,
             f"stated exceptional index {exceptional_index}, found {extra}")
     ve = fan_x.rays[extra]
 
-    # Locate the minimal target cone containing the exceptional ray.
-    center = None
-    for cone in fan_y.max_cones:
-        if len(cone) != fan_y.rank:
+    # The first full-dimensional target cone holding v_E, in sorted order,
+    # gives both the center (its positive coordinates) and the relation:
+    # every full-dimensional cone holding v_E contains the center face, and
+    # every one containing the center face holds v_E.
+    for host in sorted(fan_y.max_cones):
+        if len(host) != fan_y.rank:
             continue
-        coords = _cone_coordinates(fan_y, cone, ve)
+        coords = _cone_coordinates(fan_y, host, ve)
         if all(c >= 0 for c in coords):
-            center = tuple(j for j, c in zip(cone, coords) if c > 0)
             break
-    if center is None:
+    else:
         raise errors.ModelMismatch(
             "exceptional ray lies outside the target fan's support cones")
+    weights = {j: c for j, c in zip(host, coords) if c > 0}
+    center = tuple(weights)
     if len(center) < 2:
         raise errors.ModelMismatch(
             "exceptional ray must be interior to a face of dimension >= 2")
@@ -246,17 +249,8 @@ def datum_from_fans(fan_x: StackyFan, fan_y: StackyFan,
         raise errors.ModelMismatch(
             "source fan is not the star subdivision of the target fan")
 
-    # Solve the relation sum(a_i v_i) = |a_E| v_E over the center rays; the
-    # zero-coefficient rays come from the lexicographically first maximal
-    # cone containing the center.
-    hosts = sorted(c for c in fan_y.max_cones
-                   if len(c) == fan_y.rank and set(center) <= set(c))
-    if not hosts:
-        raise errors.ModelMismatch(
-            "no full-dimensional target cone contains the center face")
-    host = hosts[0]
-    coords = _cone_coordinates(fan_y, host, ve)
-    weights = {j: c for j, c in zip(host, coords) if c > 0}
+    # Scale the relation sum(a_i v_i) = |a_E| v_E over the center rays to
+    # coprime integers; the host's other rays get coefficient zero.
     scale = lcm(*(w.denominator for w in weights.values()))
     a_pos = [int(weights[j] * scale) for j in center]
     g = scale

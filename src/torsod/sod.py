@@ -117,19 +117,13 @@ def spanning_classes(ctx: DatumContext) -> list[SpanningClass]:
     else:
         f_lo, f_hi = 0, -(-ctx.S_alpha // -W_free) - 1
 
-    out = []
-    torsion = group.torsion_lifts()
-    for f in range(f_lo, f_hi + 1):
-        for combo in product(*(range(order) for _, order in torsion)):
-            vec = [f * x for x in free]
-            for c, (lift, _) in zip(combo, torsion):
-                for j in range(len(vec)):
-                    vec[j] += c * lift[j]
-            rep = group.reduce(vec)
-            W = ctx.W(rep)
-            if W != f * W_free:
-                raise AssertionError("weighted sum is not class-invariant")
-            out.append(SpanningClass(label=rep, W=W))
+    # f * free + t with t a torsion class is its own canonical representative
+    # (its Smith coordinates are f and residues 0 <= c_i < d_i), and W is
+    # linear and zero on torsion, so its weight is f * W_free.
+    torsion = group.classes()
+    out = [SpanningClass(label=tuple(f * x + y for x, y in zip(free, t)),
+                         W=f * W_free)
+           for f in range(f_lo, f_hi + 1) for t in torsion]
     out.sort(key=lambda s: (-s.W, s.label))
     return out
 

@@ -31,7 +31,7 @@ def test_datum_shape():
     d = half_datum()
     assert d.n == 2
     assert d.alpha == 2
-    assert d.exceptional_ray == (1, 1)
+    assert d.rays[-1] == (1, 1)
 
 
 def test_validate_relation():

@@ -1,6 +1,9 @@
+import random
 from fractions import Fraction
+from math import prod
 
 import pytest
+from props import mat_mul, ref_determinant, ref_rank_q
 
 from torsod.lattice import (
     AbelianGroup,
@@ -8,9 +11,9 @@ from torsod.lattice import (
     determinant,
     diagonal_of,
     integer_kernel,
-    mat_mul,
     primitivize,
     quotient_project,
+    rank_q,
     smith_normal_form_full,
     solve_integer,
     solve_rational,
@@ -58,6 +61,42 @@ def test_determinant():
         determinant([[1, 2, 3], [4, 5, 6]])
 
 
+def _random_matrix(rng, rows, cols, entries=(-3, 3)):
+    return [[rng.randint(*entries) for _ in range(cols)] for _ in range(rows)]
+
+
+def test_determinant_matches_cofactor_expansion():
+    rng = random.Random(7)
+    assert determinant([]) == ref_determinant([]) == 1
+    for n in range(1, 6):
+        for _ in range(60):
+            mat = _random_matrix(rng, n, n, rng.choice([(-1, 1), (-9, 9)]))
+            if n > 1 and rng.random() < 0.3:   # singular: repeat a row
+                mat[rng.randrange(1, n)] = list(mat[0])
+            assert determinant(mat) == ref_determinant(mat), mat
+
+
+def test_rank_q_matches_the_fraction_reference():
+    rng = random.Random(11)
+    assert rank_q([]) == ref_rank_q([]) == 0        # no rows
+    assert rank_q([[], []]) == ref_rank_q([[], []]) == 0
+    for _ in range(400):
+        rows, cols = rng.randint(0, 7), rng.randint(1, 7)
+        mat = _random_matrix(rng, rows, cols, rng.choice([(-1, 1), (-5, 5)]))
+        if rows and rng.random() < 0.5:
+            # rank-deficient: a product through an inner dimension k
+            k = rng.randint(0, min(rows, cols))
+            left = _random_matrix(rng, rows, k)
+            right = _random_matrix(rng, k, cols)
+            mat = mat_mul(left, right) if k else [[0] * cols
+                                                   for _ in range(rows)]
+        if rows and rng.random() < 0.4:
+            for j in rng.sample(range(cols), rng.randint(1, cols)):
+                for row in mat:
+                    row[j] = 0                  # all-zero column
+        assert rank_q(mat) == ref_rank_q(mat), mat
+
+
 def test_solve_rational():
     assert solve_rational([[2, 1], [1, 3]], [1, 2]) == (Fraction(1, 5),
                                                         Fraction(3, 5))
@@ -95,14 +134,19 @@ def test_cokernel_pinned_group():
     group = cokernel([[2, 0], [2, 4], [1, 1]])
     assert group.free_rank == 1
     assert group.invariant_factors == (2,)
-    assert group.order() is None
+    # classes() gives the two torsion classes and leaves the free part out
+    reps = group.classes()
+    assert len(reps) == 2
+    assert len(set(reps)) == 2
+    for rep in reps:
+        assert group.reduce(rep) == rep
 
 
 def test_cokernel_finite_group():
     group = cokernel([[2, 0], [0, 4]])
     assert group.free_rank == 0
     assert group.invariant_factors == (2, 4)
-    assert group.order() == 8
+    assert prod(group.invariant_factors) == 8
     reps = group.classes()
     assert len(reps) == 8
     assert len(set(reps)) == 8

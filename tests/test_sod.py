@@ -2,7 +2,7 @@ import sys
 from dataclasses import replace
 from fractions import Fraction
 from itertools import product
-from math import lcm
+from math import lcm, prod
 
 import pytest
 
@@ -49,6 +49,17 @@ def test_spanning_classes_a1_half(a1_half):
     assert len(labels) == 4
     # the trivial class is always in the window
     assert (0, 0, 0) in labels
+
+
+def test_spanning_labels_are_canonical(extraction_pairs, twist_datum,
+                                       stress_datum):
+    for d in [pair.datum for pair in extraction_pairs] + [twist_datum,
+                                                          stress_datum]:
+        group = class_group(d)
+        spans = decompose(d).spans
+        assert spans
+        for s in spans:
+            assert group.reduce(s.label) == s.label
 
 
 def test_spanning_counts(a2_third, a1_half_line):
@@ -182,7 +193,7 @@ def test_transfer_vanishing_symmetric_under_negation(extraction_pairs):
 def test_exceptional_lattice_order(a1_half):
     tau = datum_context(a1_half.datum).tau
     assert tau.free_rank == 0
-    assert tau.order() == 8
+    assert prod(tau.invariant_factors) == 8
     assert tau.contains((2, 2))
     assert not tau.contains((1, 3))
 
