@@ -10,8 +10,8 @@ every combinatorial claim of the decomposition against brute-force cohomology.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
-from math import gcd, lcm
+from itertools import combinations, product
+from math import lcm
 
 from . import errors, lattice, oracle, sod
 from .extraction import (ExtractionDatum, koszul_corners, make_datum,
@@ -39,84 +39,39 @@ class ModelPair:
 
 def y_label(pair: ModelPair, k_local) -> tuple[int, ...]:
     """Spread a length-n local label over the target fan's rays (zeros elsewhere)."""
-    if len(k_local) != pair.datum.n:
-        raise ValueError(f"local label must have length {pair.datum.n}")
-    full = [0] * len(pair.fan_y.rays)
-    for i, k in enumerate(k_local):
-        full[pair.y_rays[i]] = int(k)
-    return tuple(full)
+    return _spread(pair.y_rays, len(pair.fan_y.rays), k_local)
 
 
 def x_label(pair: ModelPair, k_full) -> tuple[int, ...]:
     """Spread a length-(n+1) label over the source fan's rays."""
-    if len(k_full) != pair.datum.n + 1:
-        raise ValueError(f"label must have length {pair.datum.n + 1}")
-    full = [0] * len(pair.fan_x.rays)
-    for i, k in enumerate(k_full):
-        full[pair.x_rays[i]] = int(k)
+    return _spread(pair.x_rays, len(pair.fan_x.rays), k_full)
+
+
+def _spread(index, size, label) -> tuple[int, ...]:
+    """Put ``label[i]`` at position ``index[i]`` of a zero vector of ``size``."""
+    if len(label) != len(index):
+        raise ValueError(f"label must have length {len(index)}")
+    full = [0] * size
+    for j, k in zip(index, label):
+        full[j] = int(k)
     return tuple(full)
 
 
 # ---------------------------------------------------------------------------
-# Catalog
-
-
-def _surface_pair(name, rays, coefficients, orders) -> ModelPair:
-    """Standard compactification of a rank-2 local model.
-
-    Adds the single ray -(v_1 + v_2 + v_E), primitivized, with trivial order;
-    the target fan is the resulting triangle and the source fan its star
-    subdivision at v_E.
-    """
-    datum = make_datum(rays, coefficients, orders)
-    v1, v2, ve = datum.rays
-    extra, _ = lattice.primitivize(tuple(-(a + b + c)
-                                         for a, b, c in zip(v1, v2, ve)))
-    fan_y = make_fan(2, (v1, v2, extra), (orders[0], orders[1], 1),
-                     ((0, 1), (1, 2), (0, 2)))
-    fan_x = make_fan(2, (v1, v2, ve, extra),
-                     (orders[0], orders[1], orders[2], 1),
-                     ((0, 2), (1, 2), (1, 3), (0, 3)))
-    pair = ModelPair(name=name, datum=datum, fan_x=fan_x, fan_y=fan_y,
-                     exceptional_index=2, x_rays=(0, 1, 2), y_rays=(0, 1))
-    _validate_pair(pair)
-    return pair
-
-
-def _line_center_pair() -> ModelPair:
-    """Rank-3 model whose extraction center is a curve: the fiber is a line.
-
-    The local cone <v_1, v_2, v_3> is completed by the single opposite ray
-    -(v_1 + v_2 + v_3), giving the simplex fan with four maximal cones; the
-    exceptional ray sits inside the face spanned by v_1, v_2.
-    """
-    v1, v2, v3 = (1, 0, 0), (1, 2, 0), (0, 0, 1)
-    ve = (1, 1, 0)
-    extra, _ = lattice.primitivize(
-        tuple(-(a + b + c) for a, b, c in zip(v1, v2, v3)))
-    datum = make_datum((v1, v2, v3, ve), (1, 1, 0, -2), (2, 2, 1, 1))
-    fan_y = make_fan(3, (v1, v2, v3, extra), (2, 2, 1, 1),
-                     ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)))
-    fan_x = make_fan(3, (v1, v2, v3, extra, ve), (2, 2, 1, 1, 1),
-                     ((0, 2, 4), (1, 2, 4), (0, 3, 4), (1, 3, 4),
-                      (0, 2, 3), (1, 2, 3)))
-    pair = ModelPair(name="a1-half-line", datum=datum, fan_x=fan_x,
-                     fan_y=fan_y, exceptional_index=4,
-                     x_rays=(0, 1, 2, 4), y_rays=(0, 1, 2))
-    _validate_pair(pair)
-    return pair
-
+# Catalog: each model is a datum (rays, a, r) plus one extra ray and the
+# source-fan index of v_E.
 
 _CATALOG = {
-    "a1-half": lambda: _surface_pair(
-        "a1-half", ((1, 0), (1, 2), (1, 1)), (1, 1, -2), (2, 2, 1)),
-    "smooth-blowup": lambda: _surface_pair(
-        "smooth-blowup", ((1, 0), (0, 1), (1, 1)), (1, 1, -1), (1, 1, 1)),
-    "a2-third": lambda: _surface_pair(
-        "a2-third", ((1, 0), (1, 3), (1, 1)), (2, 1, -3), (3, 3, 1)),
-    "a1-half-crepant": lambda: _surface_pair(
-        "a1-half-crepant", ((1, 0), (1, 2), (1, 1)), (1, 1, -2), (1, 1, 1)),
-    "a1-half-line": _line_center_pair,
+    "a1-half": (((1, 0), (1, 2), (1, 1)), (1, 1, -2), (2, 2, 1),
+                (-1, -1), 2),
+    "smooth-blowup": (((1, 0), (0, 1), (1, 1)), (1, 1, -1), (1, 1, 1),
+                      (-1, -1), 2),
+    "a2-third": (((1, 0), (1, 3), (1, 1)), (2, 1, -3), (3, 3, 1),
+                 (-3, -4), 2),
+    "a1-half-crepant": (((1, 0), (1, 2), (1, 1)), (1, 1, -2), (1, 1, 1),
+                        (-1, -1), 2),
+    "a1-half-line": (((1, 0, 0), (1, 2, 0), (0, 0, 1), (1, 1, 0)),
+                     (1, 1, 0, -2), (2, 2, 1, 1), (-2, -2, -1), 4),
 }
 
 _FAN_CATALOG = {
@@ -137,12 +92,12 @@ def fan_names() -> list[str]:
 
 def canned_example(name: str) -> ModelPair:
     try:
-        builder = _CATALOG[name]
+        rays, a, r, extra, index = _CATALOG[name]
     except KeyError:
         raise errors.UnknownExample(
             f"unknown model {name!r}; available: {', '.join(example_names())}"
         ) from None
-    return builder()
+    return _compact_pair(name, make_datum(rays, a, r), extra, index)
 
 
 def canned_fan(name: str) -> StackyFan:
@@ -153,6 +108,50 @@ def canned_fan(name: str) -> StackyFan:
             f"unknown fan {name!r}; available: {', '.join(fan_names())}"
         ) from None
     return builder()
+
+
+def _star_subdivision(cones, center, extra) -> set[tuple[int, ...]]:
+    """Star subdivision of simplicial cones at a ray inside face ``center``.
+
+    Each cone containing the center face splits into one cone per center ray,
+    with that ray replaced by ``extra``; every other cone is kept
+    (Cox-Little-Schenck, *Toric Varieties*, section 3.3).
+    """
+    out = set()
+    for cone in cones:
+        if set(center) <= set(cone):
+            out.update(tuple(sorted(set(cone) - {j} | {extra}))
+                       for j in center)
+        else:
+            out.add(tuple(sorted(cone)))
+    return out
+
+
+def _compact_pair(name, datum, extra, exceptional_index) -> ModelPair:
+    """Complete a local datum by one extra ray, with trivial order.
+
+    The target fan is the simplex fan on v_1..v_n and ``extra``: its maximal
+    cones are all n-subsets of those n+1 rays.  The source fan inserts v_E at
+    ``exceptional_index`` and is the star subdivision along the center
+    v_1..v_alpha.
+    """
+    n, e = datum.n, exceptional_index
+    rays = datum.rays[:n] + (tuple(extra),)
+    orders = datum.orders[:n] + (1,)
+    cones = list(combinations(range(n + 1), n))
+    # Target ray j sits at source index j, or j + 1 from v_E's index on.
+    shift = [j + (j >= e) for j in range(n + 1)]
+    fan_y = make_fan(n, rays, orders, cones)
+    fan_x = make_fan(
+        n, rays[:e] + datum.rays[n:] + rays[e:],
+        orders[:e] + datum.orders[n:] + orders[e:],
+        _star_subdivision([[shift[j] for j in cone] for cone in cones],
+                          shift[:datum.alpha], e))
+    pair = ModelPair(name=name, datum=datum, fan_x=fan_x, fan_y=fan_y,
+                     exceptional_index=e, x_rays=tuple(shift[:n]) + (e,),
+                     y_rays=tuple(range(n)))
+    _validate_pair(pair)
+    return pair
 
 
 def _validate_pair(pair: ModelPair) -> None:
@@ -174,12 +173,6 @@ def _validate_pair(pair: ModelPair) -> None:
 # Reconstruction
 
 
-def _cone_coordinates(fan: StackyFan, cone, vector):
-    """Exact coordinates of ``vector`` in the rays of a simplicial cone."""
-    return lattice.solve_rational(
-        lattice.transpose([list(fan.rays[j]) for j in cone]), vector)
-
-
 def datum_from_fans(fan_x: StackyFan, fan_y: StackyFan,
                     exceptional_index: int | None = None):
     """Recover the local datum relating two fans by one star subdivision.
@@ -191,24 +184,20 @@ def datum_from_fans(fan_x: StackyFan, fan_y: StackyFan,
     taken from the lexicographically first maximal target cone containing the
     center face.  Returns (datum, x_ray_map, y_ray_map).
     """
+    x_index = {key: xi
+               for xi, key in enumerate(zip(fan_x.rays, fan_x.orders))}
     y_to_x = []
-    used = set()
-    for yi, (ray, order) in enumerate(zip(fan_y.rays, fan_y.orders)):
-        match = None
-        for xi, (xray, xorder) in enumerate(zip(fan_x.rays, fan_x.orders)):
-            if xi not in used and xray == ray and xorder == order:
-                match = xi
-                break
-        if match is None:
+    for yi, key in enumerate(zip(fan_y.rays, fan_y.orders)):
+        if key not in x_index:
             raise errors.ModelMismatch(
-                f"target ray {yi} {ray} has no counterpart in the source fan")
-        used.add(match)
-        y_to_x.append(match)
-    leftovers = [xi for xi in range(len(fan_x.rays)) if xi not in used]
+                f"target ray {yi} {key[0]} has no counterpart in the "
+                "source fan")
+        y_to_x.append(x_index[key])
+    leftovers = set(range(len(fan_x.rays))) - set(y_to_x)
     if len(leftovers) != 1:
         raise errors.ModelMismatch(
             f"expected exactly one extra source ray, found {len(leftovers)}")
-    extra = leftovers[0]
+    extra = leftovers.pop()
     if exceptional_index is not None and exceptional_index != extra:
         raise errors.ModelMismatch(
             f"stated exceptional index {exceptional_index}, found {extra}")
@@ -221,7 +210,7 @@ def datum_from_fans(fan_x: StackyFan, fan_y: StackyFan,
     for host in sorted(fan_y.max_cones):
         if len(host) != fan_y.rank:
             continue
-        coords = _cone_coordinates(fan_y, host, ve)
+        coords = oracle._cone_coordinates(fan_y, host, ve)
         if all(c >= 0 for c in coords):
             break
     else:
@@ -234,35 +223,22 @@ def datum_from_fans(fan_x: StackyFan, fan_y: StackyFan,
             "exceptional ray must be interior to a face of dimension >= 2")
 
     # The source cones must be exactly the star subdivision along the center.
-    expected = set()
-    for cone in fan_y.max_cones:
-        mapped = tuple(sorted(y_to_x[j] for j in cone))
-        if set(center) <= set(cone):
-            for j in cone:
-                if j in center:
-                    piece = tuple(sorted((set(y_to_x[i] for i in cone)
-                                          - {y_to_x[j]}) | {extra}))
-                    expected.add(piece)
-        else:
-            expected.add(mapped)
-    if expected != set(fan_x.max_cones):
+    cones = [[y_to_x[j] for j in cone] for cone in fan_y.max_cones]
+    if (_star_subdivision(cones, [y_to_x[j] for j in center], extra)
+            != set(fan_x.max_cones)):
         raise errors.ModelMismatch(
             "source fan is not the star subdivision of the target fan")
 
     # Scale the relation sum(a_i v_i) = |a_E| v_E over the center rays to
     # coprime integers; the host's other rays get coefficient zero.
     scale = lcm(*(w.denominator for w in weights.values()))
-    a_pos = [int(weights[j] * scale) for j in center]
-    g = scale
-    for a in a_pos:
-        g = gcd(g, a)
-    a_pos = [a // g for a in a_pos]
-    a_last = -(scale // g)
+    *a_pos, a_e = lattice.primitivize(
+        [int(weights[j] * scale) for j in center] + [scale])[0]
     zero_rays = tuple(j for j in host if j not in center)
 
     y_order = tuple(center) + zero_rays
     rays = tuple(fan_y.rays[j] for j in y_order) + (ve,)
-    coefficients = tuple(a_pos) + (0,) * len(zero_rays) + (a_last,)
+    coefficients = tuple(a_pos) + (0,) * len(zero_rays) + (-a_e,)
     orders = tuple(fan_y.orders[j] for j in y_order) + (fan_x.orders[extra],)
     datum = make_datum(rays, coefficients, orders)
     x_map = tuple(y_to_x[j] for j in y_order) + (extra,)

@@ -440,13 +440,18 @@ def check_complete(fan: StackyFan) -> bool:
     point = _generic_point(d, normals)
     inside = 0
     for cone in fan.max_cones:
-        coords = lattice.solve_rational(
-            lattice.transpose([list(fan.rays[j]) for j in cone]), point)
+        coords = _cone_coordinates(fan, cone, point)
         if coords is None:
             return False
         if all(x > 0 for x in coords):
             inside += 1
     return inside == 1
+
+
+def _cone_coordinates(fan: StackyFan, cone, vector):
+    """Exact coordinates of ``vector`` in the rays of a simplicial cone."""
+    return lattice.solve_rational(
+        lattice.transpose([list(fan.rays[j]) for j in cone]), vector)
 
 
 def _generic_point(d, normals):

@@ -1,11 +1,16 @@
+import random
+from collections import Counter
 from dataclasses import replace
 from itertools import product
+from math import gcd
 
 import pytest
 
 from torsod import (
+    MorphismKind,
     canned_example,
     canned_fan,
+    classify,
     cohomology,
     count_identity_check,
     datum_from_fans,
@@ -17,13 +22,36 @@ from torsod import (
     fully_faithful_oracle_check,
     generation_certificate,
     koszul_replay_check,
+    make_datum,
     semiorthogonality_oracle_check,
     transfer_dichotomy_check,
     transfer_label,
 )
+from torsod import lattice
 from torsod.errors import ModelMismatch, UnknownExample
-from torsod.models import (_validate_pair, block_euler_characteristic,
-                           x_label, y_label)
+from torsod.models import (_compact_pair, _validate_pair,
+                           block_euler_characteristic, x_label, y_label)
+
+# v_2 = (p, q) for the random surface draws: q in 1..4, p in -3..3, coprime.
+_V2 = [(p, q) for q in range(1, 5) for p in range(-3, 4) if gcd(p, q) == 1]
+
+
+def _surface_draws(seed, count):
+    """Random rank-2 datums: v_1 = (1, 0), v_E inside the cone of v_1, v_2."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        p, q = rng.choice(_V2)
+        c1, c2 = rng.randint(1, 4), rng.randint(1, 4)
+        ve, g = lattice.primitivize((c1 + c2 * p, c2 * q))
+        h = gcd(gcd(c1, c2), g)
+        yield make_datum(((1, 0), (p, q), ve), (c1 // h, c2 // h, -g // h),
+                         (rng.randint(1, 4), rng.randint(1, 4),
+                          rng.randint(1, 2)))
+
+
+def _opposite(rays):
+    """The primitive vector of -(sum of ``rays``)."""
+    return lattice.primitivize([-sum(c) for c in zip(*rays)])[0]
 
 
 def test_catalogs_present():
@@ -34,6 +62,39 @@ def test_catalogs_present():
         canned_example("a3-weird")
     with pytest.raises(UnknownExample):
         canned_fan("p3")
+
+
+def test_catalog_extra_rays_follow_their_rules():
+    # surfaces: -(v_1 + v_2 + v_E) before v_E; the line: -(v_1 + v_2 + v_3)
+    # after it, the rule a compactifier of any datum would use
+    for name in example_names():
+        pair = canned_example(name)
+        d = pair.datum
+        extra = pair.fan_y.rays[-1]
+        if d.n == 2:
+            assert extra == _opposite(d.rays)
+            assert pair.exceptional_index == 2
+        else:
+            assert extra == _opposite(d.rays[:d.n])
+            assert pair.exceptional_index == d.n + 1
+
+
+def test_compact_pair_on_random_surfaces():
+    # _compact_pair runs _validate_pair: each draw's fans must be complete
+    # and reconstruct the drawn datum.  Every draw is kept, whatever its kind.
+    kinds = Counter()
+    for d in _surface_draws(seed=7, count=300):
+        _compact_pair("draw", d, _opposite(d.rays), 2)
+        kinds[classify(d).kind] += 1
+    assert set(kinds) == set(MorphismKind), kinds
+
+
+def test_compact_pair_simplex_rule_on_stress(stress_datum):
+    d = stress_datum
+    pair = _compact_pair("stress", d, _opposite(d.rays[:d.n]), d.n + 1)
+    fib = fiber_model(pair)   # raises unless the fiber fan is complete
+    assert fib.fan.rank == 1
+    assert len(fib.fan.rays) == 2
 
 
 def test_pair_from_fans_round_trip(a1_half):
