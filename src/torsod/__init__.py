@@ -56,7 +56,6 @@ from .models import (
     canned_example,
     canned_fan,
     count_identity_check,
-    datum_from_fans,
     example_names,
     fan_names,
     fiber_model,

@@ -273,27 +273,7 @@ def integer_kernel(mat: Matrix) -> list[Vector]:
 
 def solve_integer(mat: Matrix, rhs) -> Vector | None:
     """One integer solution x of mat @ x = rhs, or None if there is none."""
-    nrows = len(mat)
-    ncols = len(mat[0]) if mat else 0
-    if len(rhs) != nrows:
-        raise ValueError("rhs length does not match the matrix")
-    if not mat:
-        return ()
-    u, d, v, _ = smith_normal_form_full(mat)
-    y = mat_vec(u, list(rhs))
-    diag = diagonal_of(d)
-    z = [0] * ncols
-    for i in range(nrows):
-        di = diag[i] if i < len(diag) else 0
-        if di == 0:
-            if y[i] != 0:
-                return None
-        else:
-            if y[i] % di:
-                return None
-            if i < ncols:
-                z[i] = y[i] // di
-    return tuple(mat_vec(v, z))
+    return cokernel(mat).preimage(rhs)
 
 
 @dataclass(frozen=True)
@@ -337,7 +317,8 @@ class AbelianGroup:
     Stores the classification (free rank, invariant factors >= 2) together
     with the unimodular change of basis that realizes it, which is what turns
     arbitrary vectors into canonical representatives: write y = U v, reduce
-    y_i modulo the i-th diagonal entry, and map back through U^-1.
+    y_i modulo the i-th diagonal entry, and map back through U^-1.  The
+    column transform V is kept too, for :meth:`preimage`.
     """
 
     ambient_rank: int
@@ -345,7 +326,8 @@ class AbelianGroup:
     invariant_factors: tuple[int, ...]
     _u: tuple[Vector, ...]
     _uinv: tuple[Vector, ...]
-    _diag: tuple[int, ...]  # full diagonal, including leading 1s
+    _v: tuple[Vector, ...]
+    _diag: tuple[int, ...]  # nonzero diagonal, including leading 1s
 
     def reduce(self, vec) -> Vector:
         """Canonical representative of the class of ``vec``."""
@@ -358,6 +340,25 @@ class AbelianGroup:
                 y[i] %= di
         return tuple(sum(self._uinv[i][k] * y[k] for k in range(self.ambient_rank))
                      for i in range(self.ambient_rank))
+
+    def preimage(self, vec) -> Vector | None:
+        """One integer x with mat @ x == vec, or None if there is none.
+
+        With U mat V = D, solve D z = U vec entrywise; then x = V z.
+        """
+        if len(vec) != self.ambient_rank:
+            raise ValueError("vector has wrong length for this group")
+        y = [sum(row[k] * vec[k] for k in range(self.ambient_rank))
+             for row in self._u]
+        if any(y[len(self._diag):]):
+            return None
+        z = [0] * len(self._v)
+        for i, di in enumerate(self._diag):
+            if y[i] % di:
+                return None
+            z[i] = y[i] // di
+        return tuple(sum(row[k] * z[k] for k in range(len(z)))
+                     for row in self._v)
 
     def contains(self, vec) -> bool:
         """Whether ``vec`` lies in the subgroup that was quotiented out."""
@@ -394,7 +395,7 @@ class AbelianGroup:
 def cokernel(mat: Matrix) -> AbelianGroup:
     """Cokernel Z^p / (column span) of a p x q integer matrix."""
     p = len(mat)
-    u, d, _, uinv = smith_normal_form_full(mat)
+    u, d, v, uinv = smith_normal_form_full(mat)
     diag = [x for x in diagonal_of(d) if x]
     invariant = tuple(x for x in diag if x >= 2)
     return AbelianGroup(
@@ -403,5 +404,6 @@ def cokernel(mat: Matrix) -> AbelianGroup:
         invariant_factors=invariant,
         _u=tuple(tuple(r) for r in u),
         _uinv=tuple(tuple(r) for r in uinv),
+        _v=tuple(tuple(r) for r in v),
         _diag=tuple(diag),
     )

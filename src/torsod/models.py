@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, product
-from math import lcm
 
 from . import errors, lattice, oracle, sod
 from .extraction import (ExtractionDatum, koszul_corners, make_datum,
@@ -23,9 +22,9 @@ from .oracle import StackyFan, make_fan
 class ModelPair:
     """A local datum realized inside a pair of complete stacky fans.
 
-    ``x_rays``/``y_rays`` map datum ray indices to fan ray indices; rays of
-    the fans that appear in neither map are compactification rays carrying
-    exponent zero for every local label.
+    The target fan's rays are v_1..v_n and then one extra compactification
+    ray, which carries exponent zero for every local label; the source fan's
+    rays are the same with v_E inserted at ``exceptional_index``.
     """
 
     name: str
@@ -33,28 +32,22 @@ class ModelPair:
     fan_x: StackyFan
     fan_y: StackyFan
     exceptional_index: int
-    x_rays: tuple[int, ...]   # length n+1
-    y_rays: tuple[int, ...]   # length n
 
 
 def y_label(pair: ModelPair, k_local) -> tuple[int, ...]:
-    """Spread a length-n local label over the target fan's rays (zeros elsewhere)."""
-    return _spread(pair.y_rays, len(pair.fan_y.rays), k_local)
+    """A length-n local label on the target fan's rays (0 on the extra ray)."""
+    if len(k_local) != pair.datum.n:
+        raise ValueError(f"label must have length {pair.datum.n}")
+    return tuple(int(k) for k in k_local) + (0,)
 
 
 def x_label(pair: ModelPair, k_full) -> tuple[int, ...]:
-    """Spread a length-(n+1) label over the source fan's rays."""
-    return _spread(pair.x_rays, len(pair.fan_x.rays), k_full)
-
-
-def _spread(index, size, label) -> tuple[int, ...]:
-    """Put ``label[i]`` at position ``index[i]`` of a zero vector of ``size``."""
-    if len(label) != len(index):
-        raise ValueError(f"label must have length {len(index)}")
-    full = [0] * size
-    for j, k in zip(index, label):
-        full[j] = int(k)
-    return tuple(full)
+    """A length-(n+1) label on the source fan's rays: k_E at v_E's index."""
+    n, e = pair.datum.n, pair.exceptional_index
+    if len(k_full) != n + 1:
+        raise ValueError(f"label must have length {n + 1}")
+    full = y_label(pair, k_full[:n])
+    return full[:e] + (int(k_full[n]),) + full[e:]
 
 
 # ---------------------------------------------------------------------------
@@ -148,101 +141,30 @@ def _compact_pair(name, datum, extra, exceptional_index) -> ModelPair:
         _star_subdivision([[shift[j] for j in cone] for cone in cones],
                           shift[:datum.alpha], e))
     pair = ModelPair(name=name, datum=datum, fan_x=fan_x, fan_y=fan_y,
-                     exceptional_index=e, x_rays=tuple(shift[:n]) + (e,),
-                     y_rays=tuple(range(n)))
+                     exceptional_index=e)
     _validate_pair(pair)
     return pair
 
 
 def _validate_pair(pair: ModelPair) -> None:
+    """Both fans are complete and carry the ray layout the labels assume.
+
+    The target rays and orders must be the datum's first n and then one
+    extra ray; the source's the same with v_E's at ``exceptional_index``.
+    """
     if not oracle.check_complete(pair.fan_y):
         raise errors.ModelMismatch(f"{pair.name}: target fan is not complete")
     if not oracle.check_complete(pair.fan_x):
         raise errors.ModelMismatch(f"{pair.name}: source fan is not complete")
-    # datum_from_fans refuses an exceptional index that is not the extra
-    # ray; equal datum and maps then imply every ray and order agrees.
-    recovered, x_map, y_map = datum_from_fans(
-        pair.fan_x, pair.fan_y, pair.exceptional_index)
-    if (recovered != pair.datum or x_map != pair.x_rays
-            or y_map != pair.y_rays):
+    d, e = pair.datum, pair.exceptional_index
+    local = tuple(zip(d.rays, d.orders))
+    target = tuple(zip(pair.fan_y.rays, pair.fan_y.orders))
+    source = tuple(zip(pair.fan_x.rays, pair.fan_x.orders))
+    if (target[:-1] != local[:-1]
+            or source != target[:e] + local[-1:] + target[e:]):
         raise errors.ModelMismatch(
-            f"{pair.name}: fans do not reconstruct the stated datum")
-
-
-# ---------------------------------------------------------------------------
-# Reconstruction
-
-
-def datum_from_fans(fan_x: StackyFan, fan_y: StackyFan,
-                    exceptional_index: int | None = None):
-    """Recover the local datum relating two fans by one star subdivision.
-
-    Matches rays between the fans, identifies the single extra ray of the
-    source fan, locates the face of the target fan containing it, checks that
-    the source cones are exactly the star subdivision, and solves the ray
-    relation with coprime integer coefficients.  The zero-coefficient rays are
-    taken from the lexicographically first maximal target cone containing the
-    center face.  Returns (datum, x_ray_map, y_ray_map).
-    """
-    x_index = {key: xi
-               for xi, key in enumerate(zip(fan_x.rays, fan_x.orders))}
-    y_to_x = []
-    for yi, key in enumerate(zip(fan_y.rays, fan_y.orders)):
-        if key not in x_index:
-            raise errors.ModelMismatch(
-                f"target ray {yi} {key[0]} has no counterpart in the "
-                "source fan")
-        y_to_x.append(x_index[key])
-    leftovers = set(range(len(fan_x.rays))) - set(y_to_x)
-    if len(leftovers) != 1:
-        raise errors.ModelMismatch(
-            f"expected exactly one extra source ray, found {len(leftovers)}")
-    extra = leftovers.pop()
-    if exceptional_index is not None and exceptional_index != extra:
-        raise errors.ModelMismatch(
-            f"stated exceptional index {exceptional_index}, found {extra}")
-    ve = fan_x.rays[extra]
-
-    # The first full-dimensional target cone holding v_E, in sorted order,
-    # gives both the center (its positive coordinates) and the relation:
-    # every full-dimensional cone holding v_E contains the center face, and
-    # every one containing the center face holds v_E.
-    for host in sorted(fan_y.max_cones):
-        if len(host) != fan_y.rank:
-            continue
-        coords = oracle._cone_coordinates(fan_y, host, ve)
-        if all(c >= 0 for c in coords):
-            break
-    else:
-        raise errors.ModelMismatch(
-            "exceptional ray lies outside the target fan's support cones")
-    weights = {j: c for j, c in zip(host, coords) if c > 0}
-    center = tuple(weights)
-    if len(center) < 2:
-        raise errors.ModelMismatch(
-            "exceptional ray must be interior to a face of dimension >= 2")
-
-    # The source cones must be exactly the star subdivision along the center.
-    cones = [[y_to_x[j] for j in cone] for cone in fan_y.max_cones]
-    if (_star_subdivision(cones, [y_to_x[j] for j in center], extra)
-            != set(fan_x.max_cones)):
-        raise errors.ModelMismatch(
-            "source fan is not the star subdivision of the target fan")
-
-    # Scale the relation sum(a_i v_i) = |a_E| v_E over the center rays to
-    # coprime integers; the host's other rays get coefficient zero.
-    scale = lcm(*(w.denominator for w in weights.values()))
-    *a_pos, a_e = lattice.primitivize(
-        [int(weights[j] * scale) for j in center] + [scale])[0]
-    zero_rays = tuple(j for j in host if j not in center)
-
-    y_order = tuple(center) + zero_rays
-    rays = tuple(fan_y.rays[j] for j in y_order) + (ve,)
-    coefficients = tuple(a_pos) + (0,) * len(zero_rays) + (-a_e,)
-    orders = tuple(fan_y.orders[j] for j in y_order) + (fan_x.orders[extra],)
-    datum = make_datum(rays, coefficients, orders)
-    x_map = tuple(y_to_x[j] for j in y_order) + (extra,)
-    return datum, x_map, y_order
+            f"{pair.name}: fans do not carry the datum's rays and orders in "
+            "the stated layout")
 
 
 # ---------------------------------------------------------------------------
@@ -254,11 +176,13 @@ class FiberModel:
     """Star of the extraction center: the fan the blocks live on.
 
     ``source_rays`` maps each fiber ray back to the target-fan ray it came
-    from.
+    from.  ``transfer`` is Z^alpha modulo the lattice of the center rows
+    r_i <m, v_i>, whose preimages are the transfer's characters.
     """
 
     fan: StackyFan
     source_rays: tuple[int, ...]
+    transfer: lattice.AbelianGroup
 
 
 def fiber_model(pair: ModelPair) -> FiberModel:
@@ -269,7 +193,7 @@ def fiber_model(pair: ModelPair) -> FiberModel:
     """
     d = pair.datum
     alpha = d.alpha
-    center = sorted(pair.y_rays[i] for i in range(alpha))
+    center = range(alpha)
     proj = lattice.quotient_project(d.n, [pair.fan_y.rays[j] for j in center])
     star = [c for c in pair.fan_y.max_cones if set(center) <= set(c)]
     if not star:
@@ -294,7 +218,8 @@ def fiber_model(pair: ModelPair) -> FiberModel:
     fan_f = make_fan(d.n - alpha, rays_f, orders_f, cones_f)
     if not oracle.check_complete(fan_f):
         raise errors.ModelMismatch("fiber fan is not complete")
-    return FiberModel(fan=fan_f, source_rays=tuple(source))
+    return FiberModel(fan=fan_f, source_rays=tuple(source),
+                      transfer=lattice.cokernel(relation_rows(d, alpha)))
 
 
 def transfer_label(pair: ModelPair, fiber: FiberModel, k_local):
@@ -307,8 +232,7 @@ def transfer_label(pair: ModelPair, fiber: FiberModel, k_local):
     d = pair.datum
     if len(k_local) != d.n:
         raise ValueError(f"local label must have length {d.n}")
-    m0 = lattice.solve_integer(relation_rows(d, d.alpha),
-                               list(k_local[:d.alpha]))
+    m0 = fiber.transfer.preimage(k_local[:d.alpha])
     if m0 is None:
         return None
     full = y_label(pair, k_local)

@@ -102,12 +102,8 @@ def validate_fan(fan: StackyFan) -> None:
             raise errors.SchemaError(f"cone {cone} has an out-of-range ray index")
         if len(cone) > fan.rank:
             raise errors.NonSimplicial(f"cone {cone} has too many rays")
-        if len(cone) == fan.rank:
-            if lattice.determinant([list(fan.rays[i]) for i in cone]) == 0:
-                raise errors.NonSimplicial(f"cone {cone} is degenerate")
-        else:
-            if lattice.rank_q([list(fan.rays[i]) for i in cone]) != len(cone):
-                raise errors.NonSimplicial(f"cone {cone} is degenerate")
+        if lattice.rank_q([list(fan.rays[i]) for i in cone]) != len(cone):
+            raise errors.NonSimplicial(f"cone {cone} is degenerate")
         if cone in cone_sets:
             raise errors.SchemaError(f"cone {cone} listed twice")
         cone_sets.add(cone)
@@ -440,18 +436,13 @@ def check_complete(fan: StackyFan) -> bool:
     point = _generic_point(d, normals)
     inside = 0
     for cone in fan.max_cones:
-        coords = _cone_coordinates(fan, cone, point)
+        coords = lattice.solve_rational(
+            lattice.transpose([list(fan.rays[j]) for j in cone]), point)
         if coords is None:
             return False
         if all(x > 0 for x in coords):
             inside += 1
     return inside == 1
-
-
-def _cone_coordinates(fan: StackyFan, cone, vector):
-    """Exact coordinates of ``vector`` in the rays of a simplicial cone."""
-    return lattice.solve_rational(
-        lattice.transpose([list(fan.rays[j]) for j in cone]), vector)
 
 
 def _generic_point(d, normals):

@@ -88,7 +88,8 @@ def test_sod_datum_file(tmp_path, capsys, stress_datum):
 def test_one_enumeration_per_run(tmp_path, capsys, monkeypatch):
     # Each run enumerates the spanning classes and blocks once and builds
     # three Smith forms: the class group, the restricted class lattice and
-    # the transfer lattice.
+    # the transfer lattice; the oracle run adds the fiber model's transfer
+    # group, and no label solves its own system.
     calls = {}
 
     def count(module, name):
@@ -102,14 +103,17 @@ def test_one_enumeration_per_run(tmp_path, capsys, monkeypatch):
     count(sod, "spanning_classes")
     count(sod, "block_labels")
     count(lattice, "cokernel")
+    count(lattice, "solve_integer")
     report = str(tmp_path / "report.json")
-    for argv in (["sod", "a1-half-line", "--box", "2", "--json", report],
-                 ["oracle", "a1-half-line", "--verify-sod", "--box", "1"]):
-        calls.update(spanning_classes=0, block_labels=0, cokernel=0)
+    for argv, smith in (
+            (["sod", "a1-half-line", "--box", "2", "--json", report], 3),
+            (["oracle", "a1-half-line", "--verify-sod", "--box", "1"], 4)):
+        calls.update(spanning_classes=0, block_labels=0, cokernel=0,
+                     solve_integer=0)
         code, _, _ = run(argv, capsys)
         assert code == 0
         assert calls == {"spanning_classes": 1, "block_labels": 1,
-                         "cokernel": 3}, argv
+                         "cokernel": smith, "solve_integer": 0}, argv
 
 
 def test_sod_reports_are_deterministic(tmp_path, capsys):

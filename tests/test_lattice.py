@@ -11,6 +11,7 @@ from torsod.lattice import (
     determinant,
     diagonal_of,
     integer_kernel,
+    mat_vec,
     primitivize,
     quotient_project,
     rank_q,
@@ -127,6 +128,25 @@ def test_solve_integer():
     sol = solve_integer([[1, 2]], [5])
     assert sol is not None and sol[0] + 2 * sol[1] == 5
     assert solve_integer([[2, 4]], [3]) is None
+
+
+def test_preimage_on_random_matrices():
+    rng = random.Random(13)
+    for _ in range(300):
+        rows, cols = rng.randint(1, 5), rng.randint(1, 5)
+        mat = _random_matrix(rng, rows, cols, rng.choice([(-1, 1), (-6, 6)]))
+        if rng.random() < 0.4:   # rank-deficient: through an inner dimension
+            k = rng.randint(1, min(rows, cols))
+            mat = mat_mul(_random_matrix(rng, rows, k),
+                          _random_matrix(rng, k, cols))
+        group = cokernel(mat)
+        image = mat_vec(mat, [rng.randint(-5, 5) for _ in range(cols)])
+        p = group.preimage(image)
+        assert p is not None and mat_vec(mat, p) == image, mat
+        vec = [rng.randint(-5, 5) for _ in range(rows)]
+        p = group.preimage(vec)
+        assert (p is None) == (not group.contains(vec)), (mat, vec)
+        assert p is None or mat_vec(mat, p) == vec, (mat, vec)
 
 
 def test_cokernel_pinned_group():
