@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from operator import mul
 
 Matrix = list[list[int]]
 Vector = tuple[int, ...]
@@ -340,6 +341,23 @@ class AbelianGroup:
                 y[i] %= di
         return tuple(sum(self._uinv[i][k] * y[k] for k in range(self.ambient_rank))
                      for i in range(self.ambient_rank))
+
+    def class_key(self, vec) -> Vector:
+        """A tuple that two vectors share exactly when their classes agree.
+
+        The Smith coordinates y = U vec: each torsion one modulo its invariant
+        factor, each free one as it is, and the always-zero ones of a unit
+        diagonal entry dropped.  Unlike :meth:`reduce` it does not map y back
+        through U^-1, so it is a key, not a representative.
+        """
+        if len(vec) != self.ambient_rank:
+            raise ValueError("vector has wrong length for this group")
+        key = []
+        for row, di in zip(self._u, self._diag + (0,) * self.free_rank):
+            if di != 1:
+                y = sum(map(mul, row, vec))
+                key.append(y % di if di else y)
+        return tuple(key)
 
     def preimage(self, vec) -> Vector | None:
         """One integer x with mat @ x == vec, or None if there is none.

@@ -14,15 +14,17 @@ checked once per fan before any scan.  All arithmetic is exact and integer:
 each vertex is adj_S (-k_S) / det_S with the adjugate and determinant of the
 scaled rows S built once per fan, and the box's ceil and floor are integer
 floor divisions.  The scan sweeps each row of the box along the last
-coordinate, where every ray's sign flips at most once.  Each (fan, label)
-box is scanned once: one memoised pass gives the cohomology dims, the
-section count and the Euler characteristic together.
+coordinate, where every ray's sign flips at most once.  Each (fan, class)
+box is scanned once: labels that differ by a principal label
+(r_j <m, v_j>)_j have translated characters (argument in
+:func:`_label_scan`), and one memoised pass per class gives the cohomology
+dims, the section count and the Euler characteristic together.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations, product
 from operator import mul
@@ -204,13 +206,17 @@ def _label(fan: StackyFan, k) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class _ScanKernel:
-    """Label-free tables of one complete fan, built once per fan."""
+    """Label-free tables of one complete fan, and its memo of class scans."""
 
     rows: tuple[tuple[int, ...], ...]     # r_j v_j
     slopes: tuple[int, ...]               # last column of rows
     # (S, adj_S, det_S) for every d-subset S of rays with independent rows,
     # signed so that det_S > 0
     solvers: tuple[tuple, ...]
+    # Z^rays modulo the principal labels (r_j <m, v_j>)_j, the span of rows
+    classes: lattice.AbelianGroup
+    # class key -> (h^0, ..., h^rank, sections, chi), filled by _label_scan
+    scans: dict = field(default_factory=dict)
 
 
 def _adjugate(mat) -> list[list[int]]:
@@ -237,7 +243,8 @@ def _scan_kernel(fan: StackyFan) -> _ScanKernel:
             adj = tuple(tuple(sign * x for x in row) for row in _adjugate(mat))
             solvers.append((subset, adj, sign * det))
     return _ScanKernel(rows=rows, slopes=tuple(row[-1] for row in rows),
-                       solvers=tuple(solvers))
+                       solvers=tuple(solvers),
+                       classes=lattice.cokernel([list(row) for row in rows]))
 
 
 def _box_points(lo, hi):
@@ -309,32 +316,39 @@ def section_count(fan: StackyFan, k) -> int:
     return _label_scan(fan, _label(fan, k))[-2]
 
 
-@lru_cache(maxsize=None)
 def _label_scan(fan: StackyFan, k: tuple[int, ...]) -> tuple[int, ...]:
-    """(h^0, ..., h^rank, sections, chi) of label ``k`` from one box scan.
+    """(h^0, ..., h^rank, sections, chi) of label ``k``, one box scan per class.
 
-    The three public reads each take their slice, so a label's box is
-    scanned once per fan however many of them ask.  Each pattern's count is
-    weighed twice, by its rank-computed dims and by its face-count Euler
-    piece, and the two sums never read each other.
+    The result depends only on the class of ``k`` in Z^rays modulo the
+    principal labels (r_j <m, v_j>)_j, m in Z^d (Cox-Little-Schenck, *Toric
+    Varieties*, Thm 4.1.3 and section 9.1; Borisov-Chen-Smith 2005 for the
+    stacky rows r_j v_j).  For k' = k + (r_j <m, v_j>)_j the negative pattern
+    of k' at a character x is the pattern of k at x + m, so translation by m
+    matches the characters of k' with those of k pattern for pattern.  Every
+    non-acyclic pattern then has the same count for both, and by the
+    argument of :func:`_certified_box` either label's box holds all of them.
+    Acyclic patterns add nothing to the dims or to chi, and the empty
+    pattern, which the section count reads, is not acyclic.  So the box of
+    any one representative gives the class's dims, sections and chi.
+
+    The fan's kernel keeps one result per class, keyed by
+    :meth:`lattice.AbelianGroup.class_key`, and only the first label asked
+    of a class is scanned.  The three public reads each take their slice.
+    Each pattern's count is weighed twice, by its rank-computed dims and by
+    its face-count Euler piece, and the two sums never read each other.
     """
-    dims = [0] * (fan.rank + 1)
-    chi = 0
-    counts = _pattern_counts(fan, k)
-    for pattern, count in counts.items():
-        for q, x in enumerate(_pattern_cohomology(fan, pattern)):
-            dims[q] += count * x
-        chi += count * _pattern_euler(fan, pattern)
-    return _shared((*dims, counts[frozenset()], chi))
-
-
-@lru_cache(maxsize=None)
-def _shared(result: tuple[int, ...]) -> tuple[int, ...]:
-    """The first stored copy of ``result``: labels repeat few distinct results.
-
-    ``oracle a1-half-line --verify-sod`` scans 6,392 labels with 130 distinct
-    results, so the label memo keeps one tuple per result, not per label.
-    """
+    kernel = _scan_kernel(fan)
+    key = kernel.classes.class_key(k)
+    result = kernel.scans.get(key)
+    if result is None:
+        dims = [0] * (fan.rank + 1)
+        chi = 0
+        counts = _pattern_counts(fan, k)
+        for pattern, count in counts.items():
+            for q, x in enumerate(_pattern_cohomology(fan, pattern)):
+                dims[q] += count * x
+            chi += count * _pattern_euler(fan, pattern)
+        result = kernel.scans[key] = (*dims, counts[frozenset()], chi)
     return result
 
 
@@ -342,7 +356,7 @@ def _pattern_counts(fan: StackyFan, k: tuple[int, ...]) -> Counter:
     """How many characters of the certified box have each negative pattern.
 
     The one scan over the box behind :func:`_label_scan`, run once per
-    (fan, label).  It sweeps the box row by row along the last coordinate t:
+    (fan, class).  It sweeps the box row by row along the last coordinate t:
     ray j is negative where b_j + s_j t < 0, with b_j read once per row and
     s_j its slope, a half-line in t, so it flips at most once per row and the
     row splits into at most N + 1 runs of one pattern.  Patterns are ray

@@ -149,6 +149,24 @@ def test_preimage_on_random_matrices():
         assert p is None or mat_vec(mat, p) == vec, (mat, vec)
 
 
+def test_class_key_separates_exactly_the_classes():
+    rng = random.Random(28)
+    for _ in range(300):
+        rows, cols = rng.randint(1, 5), rng.randint(1, 4)
+        mat = _random_matrix(rng, rows, cols, rng.choice([(-1, 1), (-6, 6)]))
+        group = cokernel(mat)
+        vec = [rng.randint(-5, 5) for _ in range(rows)]
+        key = group.class_key(vec)
+        assert len(key) == group.free_rank + len(group.invariant_factors)
+        shift = mat_vec(mat, [rng.randint(-3, 3) for _ in range(cols)])
+        assert group.class_key([a + b for a, b in zip(vec, shift)]) == key
+        other = [rng.randint(-5, 5) for _ in range(rows)]
+        same = group.contains([a - b for a, b in zip(vec, other)])
+        assert (group.class_key(other) == key) == same, (mat, vec, other)
+    with pytest.raises(ValueError):
+        cokernel([[2, 0], [0, 4]]).class_key((1,))
+
+
 def test_cokernel_pinned_group():
     # Z^3 / span{(2,2,1), (0,4,1)} = Z x Z/2
     group = cokernel([[2, 0], [2, 4], [1, 1]])

@@ -1,8 +1,10 @@
+import ast
 import random
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import fields, replace
 from itertools import combinations, product
 from math import comb, prod
+from pathlib import Path
 
 import pytest
 
@@ -29,13 +31,15 @@ from torsod.errors import (
 from torsod import lattice, oracle
 from torsod.oracle import (
     _certified_box,
-    _label_scan,
     _pattern_counts,
     _pattern_cohomology,
+    _pattern_euler,
     _scaled_dots,
+    _scan_kernel,
 )
 
 from props import ref_vertex_box
+from test_golden import GOLDEN, run_command
 
 
 def negative_pattern(fan, k, m):
@@ -299,6 +303,7 @@ def test_scan_of_a_fresh_label_solves_nothing_and_reads_one_dot_per_row(
     fan = canned_example("a1-half-line").fan_x
     assert fan.rank == 3
     cohomology(fan, (0,) * len(fan.rays))           # builds the fan's kernel
+    _scan_kernel(fan).scans.clear()    # k's class must not be scanned yet
     calls = []
     determinant = lattice.determinant
     monkeypatch.setattr(lattice, "determinant",
@@ -324,7 +329,7 @@ def test_scan_of_a_fresh_label_solves_nothing_and_reads_one_dot_per_row(
     assert added == [rows, 0, 0]
 
 
-def test_self_check_scans_each_label_once(monkeypatch):
+def test_self_check_scans_each_class_once(monkeypatch):
     fan = canned_example("a1-half-line").fan_x
     bound, nrays = 2, len(fan.rays)
     scans = Counter()
@@ -335,13 +340,19 @@ def test_self_check_scans_each_label_once(monkeypatch):
         return pattern_counts(scanned, k)
 
     monkeypatch.setattr(oracle, "_pattern_counts", counted)
-    _label_scan.cache_clear()
+    kernel = _scan_kernel(fan)
+    kernel.scans.clear()
     assert oracle_self_check(fan, bound).ok
     box = set(product(range(-bound, bound + 1), repeat=nrays))
     labels = box | {tuple(-1 - x for x in k) for k in box}
     assert len(labels) == 5226           # the label box union its dual box
-    assert set(scans) == labels
+    key = kernel.classes.class_key
+    classes = {key(k) for k in labels}
+    assert len(classes) == 676
+    assert set(scans) <= labels
     assert set(scans.values()) == {1}
+    assert sorted(key(k) for k in scans) == sorted(classes)
+    assert set(kernel.scans) == classes
 
 
 def test_fan_hash_is_computed_once_and_kept_out_of_fields():
@@ -351,10 +362,11 @@ def test_fan_hash_is_computed_once_and_kept_out_of_fields():
     assert a is not b and a == b and hash(a) == hash(b)
     k = (5, 1, 0)                        # a degree-6 label on P^2
     cohomology(a, k)
-    info = _label_scan.cache_info()
+    kernel = _scan_kernel(a)
+    scanned = dict(kernel.scans)
+    assert _scan_kernel(b) is kernel     # b finds a's kernel and its memo
     assert cohomology(b, k) == (28, 0, 0)
-    assert _label_scan.cache_info().hits == info.hits + 1
-    assert _label_scan.cache_info().currsize == info.currsize
+    assert kernel.scans == scanned
     stacky = replace(a, orders=(2, 1, 1))
     assert stacky != a
     assert hash(stacky) == hash(make_fan(2, a.rays, (2, 1, 1), a.max_cones))
@@ -363,3 +375,106 @@ def test_fan_hash_is_computed_once_and_kept_out_of_fields():
     assert [f.name for f in fields(a)] == [
         "rank", "rays", "orders", "max_cones"]
     assert "_hash" not in repr(a)
+
+
+def _direct_scan(fan, k):
+    """(dims, sections, chi) summed from k's own box scan, past the memo."""
+    counts = _pattern_counts(fan, k)
+    dims = tuple(sum(n * _pattern_cohomology(fan, p)[q]
+                     for p, n in counts.items())
+                 for q in range(fan.rank + 1))
+    chi = sum(n * _pattern_euler(fan, p) for p, n in counts.items())
+    return dims, counts[frozenset()], chi
+
+
+def _memo_scan(fan, k):
+    return (cohomology(fan, k), section_count(fan, k),
+            euler_characteristic(fan, k))
+
+
+def _class_memo_fans():
+    fans = []
+    for name in ("a1-half", "a2-third", "a1-half-line"):
+        pair = canned_example(name)
+        fans += [pair.fan_x, pair.fan_y, fiber_model(pair).fan]
+    return fans
+
+
+def test_class_memo_matches_the_direct_scan_of_every_label():
+    """Every label in [-2, 2]^rays reads its class's memo; the memo must
+    equal a scan of that label's own box."""
+    labels = classes = 0
+    for fan in _class_memo_fans():
+        key = _scan_kernel(fan).classes.class_key
+        box = list(product(range(-2, 3), repeat=len(fan.rays)))
+        for k in box:
+            assert _memo_scan(fan, k) == _direct_scan(fan, k), (fan, k)
+        labels += len(box)
+        classes += len({key(k) for k in box})
+    # 3,652 of the labels read a scan made for another label of their class
+    assert (labels, classes) == (5277, 1625)
+
+
+def test_principal_shifts_keep_the_class_and_every_scan():
+    rng = random.Random(20050101)
+    for fan in _class_memo_fans():
+        if not fan.rank:
+            continue
+        key = _scan_kernel(fan).classes.class_key
+        for _ in range(4):
+            k = tuple(rng.randint(-3, 3) for _ in fan.rays)
+            m = tuple(rng.randint(-2, 2) for _ in range(fan.rank))
+            shifted = tuple(
+                kj + r * sum(a * b for a, b in zip(m, v))
+                for kj, v, r in zip(k, fan.rays, fan.orders))
+            assert key(shifted) == key(k), (fan, k, m)
+            assert _direct_scan(fan, shifted) == _direct_scan(fan, k)
+            assert _memo_scan(fan, shifted) == _direct_scan(fan, k)
+
+
+def test_verify_sod_scans_one_box_per_class(monkeypatch, tmp_path):
+    pair = canned_example("a1-half-line")
+    roles = {pair.fan_y: "target", pair.fan_x: "source",
+             fiber_model(pair).fan: "fiber"}
+    labels, scans = defaultdict(set), Counter()
+    label_scan, pattern_counts = oracle._label_scan, oracle._pattern_counts
+
+    def read(fan, k):
+        labels[roles[fan]].add(k)
+        return label_scan(fan, k)
+
+    def scan(fan, k):
+        scans[roles[fan]] += 1
+        return pattern_counts(fan, k)
+
+    monkeypatch.setattr(oracle, "_label_scan", read)
+    monkeypatch.setattr(oracle, "_pattern_counts", scan)
+    _scan_kernel.cache_clear()           # fresh kernels, empty memos
+    got = run_command(["oracle", "a1-half-line", "--verify-sod"], tmp_path)
+    name = "oracle-a1-half-line-verify"
+    assert got["json"] == (GOLDEN / f"{name}.json").read_bytes()
+    assert {role: len(seen) for role, seen in labels.items()} == {
+        "target": 1068, "source": 5226, "fiber": 98}
+    assert scans == {"target": 112, "source": 676, "fiber": 19}   # 807 boxes
+    for fan, role in roles.items():
+        key = _scan_kernel(fan).classes.class_key
+        assert len({key(k) for k in labels[role]}) == scans[role]
+
+
+def test_oracle_imports_no_torsod_module_but_errors_and_lattice():
+    """The oracle shares no window or block logic with ``sod``."""
+    source = Path(oracle.__file__).read_text(encoding="utf-8")
+    imported = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            if node.level and node.module:
+                imported.add(node.module.split(".")[0])
+            elif node.level:
+                imported.update(alias.name for alias in node.names)
+            elif node.module.split(".")[0] == "torsod":
+                imported.add((node.module + ".").split(".")[1])
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name.split(".")[1]
+                            for alias in node.names
+                            if alias.name.split(".")[0] == "torsod")
+    assert imported == {"errors", "lattice"}
