@@ -66,7 +66,6 @@ from .models import (
     transfer_label,
 )
 from .oracle import (
-    DualityReport,
     SelfCheckReport,
     StackyFan,
     check_complete,
@@ -75,7 +74,6 @@ from .oracle import (
     make_fan,
     oracle_self_check,
     section_count,
-    serre_duality_check,
     validate_fan,
 )
 from .serialize import (

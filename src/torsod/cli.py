@@ -211,13 +211,13 @@ def _fan_self_check(tag: str, fan, bound: int) -> report.Check:
     res = oracle.oracle_self_check(fan, bound)
     rows = [{"complete": res.complete,
              "zero_label": res.zero_label_ok,
-             "duality_checked": res.duality.checked,
-             "duality_mismatches": len(res.duality.mismatches),
+             "duality_checked": res.checked,
+             "duality_mismatches": len(res.duality_mismatches),
              "section_mismatches": len(res.section_mismatches),
              "euler_mismatches": len(res.euler_mismatches)}]
     return report.Check(
         name=f"self-check-{tag}", ok=res.ok,
-        summary=f"{res.duality.checked} labels, duality/sections/euler",
+        summary=f"{res.checked} labels, duality/sections/euler",
         rows=tuple(rows))
 
 

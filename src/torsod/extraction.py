@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
-from operator import mul
+from operator import index, mul
 
 from . import errors, lattice
 
@@ -44,11 +44,15 @@ class ExtractionDatum:
 
 
 def make_datum(rays, coefficients, orders) -> ExtractionDatum:
-    """Build and validate a datum from plain sequences."""
+    """Build and validate a datum from plain sequences of integers.
+
+    Entries go through ``operator.index``, so a float raises TypeError
+    rather than being truncated.
+    """
     d = ExtractionDatum(
-        rays=tuple(tuple(int(x) for x in v) for v in rays),
-        coefficients=tuple(int(a) for a in coefficients),
-        orders=tuple(int(r) for r in orders),
+        rays=tuple(tuple(map(index, v)) for v in rays),
+        coefficients=tuple(map(index, coefficients)),
+        orders=tuple(map(index, orders)),
     )
     validate(d)
     return d

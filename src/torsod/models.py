@@ -378,8 +378,11 @@ def transfer_dichotomy_check(pair: ModelPair, dec: sod.Decomposition,
     the oracle (certified implies zero corner sum), and the exact lattice
     test must match the oracle's verdict on the nose.  The corner sum used as
     the oracle verdict is the alternating Euler sum, which equals the Euler
-    characteristic of the transferred sheaf.
+    characteristic of the transferred sheaf.  A negative bound would
+    compare nothing and raises ValueError.
     """
+    if bound < 0:
+        raise ValueError(f"bound must be nonnegative, got {bound}")
     d = pair.datum
     failures = []
     total = 0

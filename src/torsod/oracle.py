@@ -18,7 +18,9 @@ coordinate, where every ray's sign flips at most once.  Each (fan, class)
 box is scanned once: labels that differ by a principal label
 (r_j <m, v_j>)_j have translated characters (argument in
 :func:`_label_scan`), and one memoised pass per class gives the cohomology
-dims, the section count and the Euler characteristic together.
+dims, the section count and the Euler characteristic together.  The
+self-check reads that triple, and the Serre dual label's dims, once per
+label of its box, and makes all its comparisons in that one pass.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations, product
-from operator import mul
+from operator import index, mul
 
 from . import errors, lattice
 
@@ -55,12 +57,16 @@ class StackyFan:
 
 
 def make_fan(rank, rays, orders, max_cones) -> StackyFan:
-    """Build a fan from plain sequences, validating every invariant."""
+    """Build a fan from plain sequences, validating every invariant.
+
+    Every entry must be an integer (``operator.index``); a float raises
+    TypeError rather than being truncated.
+    """
     fan = StackyFan(
-        rank=int(rank),
-        rays=tuple(tuple(int(x) for x in v) for v in rays),
-        orders=tuple(int(r) for r in orders),
-        max_cones=tuple(sorted(tuple(sorted(int(i) for i in c))
+        rank=index(rank),
+        rays=tuple(tuple(map(index, v)) for v in rays),
+        orders=tuple(map(index, orders)),
+        max_cones=tuple(sorted(tuple(sorted(map(index, c)))
                                for c in max_cones)),
     )
     validate_fan(fan)
@@ -194,7 +200,7 @@ def _scaled_dots(fan: StackyFan, m: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def _label(fan: StackyFan, k) -> tuple[int, ...]:
-    k = tuple(int(x) for x in k)
+    k = tuple(map(index, k))
     if len(k) != len(fan.rays):
         raise ValueError(f"label must have length {len(fan.rays)}")
     return k
@@ -470,76 +476,59 @@ def _generic_point(d, normals):
 
 
 @dataclass(frozen=True)
-class DualityReport:
-    ok: bool
-    checked: int
-    mismatches: tuple[tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]], ...]
-
-
-def serre_duality_check(fan: StackyFan, bound: int) -> DualityReport:
-    """h^q(k) == h^(rank-q)(K - k) for every label in [-bound, bound]^rays.
-
-    K = (-1, ..., -1) is the canonical label.  Mismatches are returned as
-    (label, dims, dual dims) triples.
-    """
-    nrays = len(fan.rays)
-    canonical = (-1,) * nrays
-    mismatches = []
-    checked = 0
-    for k in product(range(-bound, bound + 1), repeat=nrays):
-        h = cohomology(fan, k)
-        dual = tuple(c - x for c, x in zip(canonical, k))
-        hd = cohomology(fan, dual)
-        checked += 1
-        if h != tuple(reversed(hd)):
-            mismatches.append((k, h, hd))
-    return DualityReport(ok=not mismatches, checked=checked,
-                         mismatches=tuple(mismatches))
-
-
-@dataclass(frozen=True)
 class SelfCheckReport:
     ok: bool
     complete: bool
     zero_label_ok: bool
-    duality: DualityReport
+    checked: int                          # labels in [-bound, bound]^rays
+    # (label, dims, dims of the Serre dual label K - label)
+    duality_mismatches: tuple[
+        tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]], ...]
+    # (label, h^0, section count)
     section_mismatches: tuple[tuple[tuple[int, ...], int, int], ...]
+    # (label, alternating sum of dims, face-count chi)
     euler_mismatches: tuple[tuple[tuple[int, ...], int, int], ...]
 
 
 def oracle_self_check(fan: StackyFan, bound: int) -> SelfCheckReport:
-    """Internal consistency suite for one fan.
+    """Internal consistency suite for one fan, in one pass over its labels.
 
-    Completeness, structure sheaf dims (1, 0, ..., 0), Serre duality over the
-    label box, h^0 against a direct section-polytope count, and the
-    alternating sum of dims against the face-count Euler characteristic.
+    Completeness, structure sheaf dims (1, 0, ..., 0), and for every label k
+    in [-bound, bound]^rays: Serre duality h^q(k) == h^(rank-q)(K - k) with
+    the canonical label K = (-1, ..., -1), h^0 against the direct
+    section-polytope count, and the alternating sum of dims against the
+    face-count Euler characteristic.  Each label's scan is read once for all
+    three.  A negative bound would check nothing and raises ValueError.
     """
-    complete = check_complete(fan)
-    if not complete:
+    if bound < 0:
+        raise ValueError(f"bound must be nonnegative, got {bound}")
+    try:
+        _scan_kernel(fan)
+    except errors.OracleBoxError:
         # cohomology is only finite on complete fans; report the failure
-        # without attempting scans, which would raise OracleBoxError
+        # without attempting scans
         return SelfCheckReport(
-            ok=False, complete=False, zero_label_ok=False,
-            duality=DualityReport(ok=True, checked=0, mismatches=()),
-            section_mismatches=(), euler_mismatches=())
-    zero = cohomology(fan, (0,) * len(fan.rays))
+            ok=False, complete=False, zero_label_ok=False, checked=0,
+            duality_mismatches=(), section_mismatches=(), euler_mismatches=())
+    top = fan.rank + 1
+    zero = _label_scan(fan, (0,) * len(fan.rays))[:top]
     zero_ok = zero == (1,) + (0,) * fan.rank
-    duality = serre_duality_check(fan, bound)
-    section_bad = []
-    euler_bad = []
+    duality_bad, section_bad, euler_bad = [], [], []
     for k in product(range(-bound, bound + 1), repeat=len(fan.rays)):
-        dims = cohomology(fan, k)
-        h0 = dims[0]
-        direct = section_count(fan, k)
-        if h0 != direct:
-            section_bad.append((k, h0, direct))
+        scan = _label_scan(fan, k)
+        dims, (sections, chi) = scan[:top], scan[top:]
+        dual = _label_scan(fan, tuple(-1 - x for x in k))[:top]
+        if dims != dual[::-1]:
+            duality_bad.append((k, dims, dual))
+        if dims[0] != sections:
+            section_bad.append((k, dims[0], sections))
         alternating = sum((-1) ** q * x for q, x in enumerate(dims))
-        chi = euler_characteristic(fan, k)
         if alternating != chi:
             euler_bad.append((k, alternating, chi))
-    ok = (complete and zero_ok and duality.ok
-          and not section_bad and not euler_bad)
     return SelfCheckReport(
-        ok=ok, complete=complete, zero_label_ok=zero_ok, duality=duality,
+        ok=zero_ok and not (duality_bad or section_bad or euler_bad),
+        complete=True, zero_label_ok=zero_ok,
+        checked=(2 * bound + 1) ** len(fan.rays),
+        duality_mismatches=tuple(duality_bad),
         section_mismatches=tuple(section_bad),
         euler_mismatches=tuple(euler_bad))

@@ -154,6 +154,24 @@ def test_oracle_incomplete_fan_fails(tmp_path, capsys):
     assert "FAIL" in out
 
 
+def test_oracle_incomplete_plane_fan_reports_one_unscanned_row(tmp_path,
+                                                              capsys):
+    # P^2 with one maximal cone missing
+    obj = {"lattice_rank": 2,
+           "rays": [{"v": v, "r": 1} for v in ([1, 0], [0, 1], [-1, -1])],
+           "max_cones": [[0, 1], [1, 2]]}
+    path, report = tmp_path / "p2-minus-cone.json", tmp_path / "report.json"
+    path.write_bytes(canonical_json_bytes(obj))
+    code, _, _ = run(["oracle", str(path), "--json", str(report)], capsys)
+    assert code == 1
+    (check,) = json.loads(report.read_bytes())["checks"]
+    assert (check["name"], check["ok"]) == ("self-check-fan", False)
+    assert check["rows"] == [{
+        "complete": False, "zero_label": False, "duality_checked": 0,
+        "duality_mismatches": 0, "section_mismatches": 0,
+        "euler_mismatches": 0}]
+
+
 def test_oracle_model_pipeline(capsys):
     code, out, _ = run(["oracle", "a1-half", "--box", "2", "--verify-sod"],
                        capsys)

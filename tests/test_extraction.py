@@ -70,6 +70,15 @@ def test_validate_duplicates_and_shapes():
         make_datum(((1, 0), (1, 2), (1, 1)), (1, 1, -2), (2, 2, 0))
 
 
+def test_make_datum_refuses_non_integers():
+    with pytest.raises(TypeError):
+        make_datum(((1, 0), (1, 2.0), (1, 1)), (1, 1, -2), (2, 2, 1))
+    with pytest.raises(TypeError):
+        make_datum(((1, 0), (1, 2), (1, 1)), (1, 1, -2.5), (2, 2, 1))
+    with pytest.raises(TypeError):
+        half_datum(orders=(2, 2, Fraction(1)))
+
+
 def test_validate_independence():
     # relation holds but the first three rays are coplanar
     with pytest.raises(DegenerateDatum):

@@ -197,6 +197,12 @@ def test_transfer_dichotomy(extraction_pairs):
         assert res.total == 9 ** pair.datum.alpha
 
 
+def test_transfer_dichotomy_refuses_a_negative_bound(a1_half):
+    with pytest.raises(ValueError):
+        transfer_dichotomy_check(a1_half, decompose(a1_half.datum), -1,
+                                 fiber_model(a1_half))
+
+
 def test_fully_faithful_against_oracle(extraction_pairs):
     for pair in extraction_pairs:
         res = fully_faithful_oracle_check(pair, decompose(pair.datum))

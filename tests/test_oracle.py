@@ -19,7 +19,6 @@ from torsod import (
     make_fan,
     oracle_self_check,
     section_count,
-    serre_duality_check,
 )
 from torsod.errors import (
     DuplicateRay,
@@ -125,10 +124,44 @@ def test_euler_characteristic_matches_alternating_sum():
 
 
 def test_serre_duality_p2():
-    p2 = canned_fan("p2")
-    report = serre_duality_check(p2, 2)
-    assert report.checked == 125
-    assert report.mismatches == ()
+    report = oracle_self_check(canned_fan("p2"), 2)
+    assert report.ok and report.checked == 125
+    assert report.duality_mismatches == ()
+
+
+def _clear_scan_memos():
+    _scan_kernel.cache_clear()
+    _pattern_euler.cache_clear()
+    _pattern_cohomology.cache_clear()
+
+
+@pytest.mark.parametrize("name, mutate, counts", [
+    ("_pattern_euler", lambda chi, p: chi + (len(p) == 3), (0, 0, 20)),
+    ("_pattern_cohomology",                     # h^0 <-> h^2 on the full one
+     lambda dims, p: dims[::-1] if len(p) == 3 else dims, (92, 20, 0)),
+    ("_pattern_cohomology",
+     lambda dims, p: dims if p else (2,) + dims[1:], (92, 72, 72)),
+], ids=["euler-full", "swap-full", "h0-empty"])
+def test_each_self_check_comparison_can_fail(monkeypatch, name, mutate,
+                                             counts):
+    """A mutant pattern table shows up in the comparisons that read it."""
+    table = getattr(oracle, name)
+    monkeypatch.setattr(oracle, name,
+                        lambda fan, p: mutate(table(fan, p), p))
+    _clear_scan_memos()
+    try:
+        report = oracle_self_check(canned_fan("p2"), 2)
+    finally:
+        _clear_scan_memos()             # no mutant scan outlives the test
+    assert not report.ok and report.checked == 125
+    assert (len(report.duality_mismatches), len(report.section_mismatches),
+            len(report.euler_mismatches)) == counts
+
+
+def test_self_check_refuses_a_negative_bound():
+    with pytest.raises(ValueError):
+        oracle_self_check(canned_fan("p1"), -1)
+    assert oracle_self_check(canned_fan("p1"), 0).checked == 1
 
 
 def test_self_checks_on_catalog_fans():
@@ -205,6 +238,15 @@ def test_oracle_box_error_on_affine_fan():
 def test_label_and_character_lengths_are_checked(call):
     with pytest.raises(ValueError):
         call(canned_fan("p1"))
+
+
+def test_fan_builder_and_labels_refuse_non_integers():
+    with pytest.raises(TypeError):
+        cohomology(canned_fan("p1"), (1.5, 0))
+    with pytest.raises(TypeError):
+        make_fan(1, ((1.9,), (-1,)), (1, 1), ((0,), (1,)))
+    with pytest.raises(TypeError):
+        make_fan(1, ((1,), (-1,)), (1.0, 1), ((0,), (1,)))
 
 
 def _box_theorem_fans():
