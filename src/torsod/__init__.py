@@ -46,7 +46,6 @@ from .lattice import (
     primitivize,
     quotient_project,
     smith_normal_form_full,
-    solve_integer,
 )
 from .models import (
     CrossCheck,

@@ -9,7 +9,6 @@ auditability and bit-stable determinism over asymptotic cleverness.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 from operator import mul
 
@@ -22,7 +21,7 @@ def identity_matrix(n: int) -> Matrix:
 
 
 def mat_vec(a: Matrix, v) -> list[int]:
-    return [sum(row[k] * v[k] for k in range(len(v))) for row in a]
+    return [sum(map(mul, row, v)) for row in a]
 
 
 def transpose(a: Matrix) -> Matrix:
@@ -239,17 +238,6 @@ def determinant(mat: Matrix) -> int:
     return sign * last if rank == n else 0
 
 
-def solve_rational(mat: Matrix, rhs) -> tuple[Fraction, ...] | None:
-    """The unique x with mat @ x == rhs by Cramer's rule; None if det(mat) == 0."""
-    det = determinant(mat)
-    if det == 0:
-        return None
-    return tuple(
-        Fraction(determinant([[*row[:j], b, *row[j + 1:]]
-                              for row, b in zip(mat, rhs)]), det)
-        for j in range(len(mat)))
-
-
 def rank_q(mat: Matrix) -> int:
     """Rank over the rationals, by exact integer elimination."""
     return _echelon(mat)[0]
@@ -272,11 +260,6 @@ def integer_kernel(mat: Matrix) -> list[Vector]:
     return [tuple(v[i][j] for i in range(ncols)) for j in range(s, ncols)]
 
 
-def solve_integer(mat: Matrix, rhs) -> Vector | None:
-    """One integer solution x of mat @ x = rhs, or None if there is none."""
-    return cokernel(mat).preimage(rhs)
-
-
 @dataclass(frozen=True)
 class LatticeProjection:
     """Surjection Z^source_rank -> Z^target_rank; ``matrix`` holds its rows."""
@@ -288,8 +271,7 @@ class LatticeProjection:
     def apply(self, vec) -> Vector:
         if len(vec) != self.source_rank:
             raise ValueError("vector has wrong length for this projection")
-        return tuple(sum(row[k] * vec[k] for k in range(self.source_rank))
-                     for row in self.matrix)
+        return tuple(mat_vec(self.matrix, vec))
 
 
 def quotient_project(rank: int, kernel_gens) -> LatticeProjection:
@@ -330,17 +312,18 @@ class AbelianGroup:
     _v: tuple[Vector, ...]
     _diag: tuple[int, ...]  # nonzero diagonal, including leading 1s
 
-    def reduce(self, vec) -> Vector:
-        """Canonical representative of the class of ``vec``."""
+    def _coords(self, vec) -> list[int]:
+        """Smith coordinates y = U vec; every class read starts here."""
         if len(vec) != self.ambient_rank:
             raise ValueError("vector has wrong length for this group")
-        y = [sum(row[k] * vec[k] for k in range(self.ambient_rank))
-             for row in self._u]
+        return mat_vec(self._u, vec)
+
+    def reduce(self, vec) -> Vector:
+        """Canonical representative of the class of ``vec``."""
+        y = self._coords(vec)
         for i, di in enumerate(self._diag):
-            if di:
-                y[i] %= di
-        return tuple(sum(self._uinv[i][k] * y[k] for k in range(self.ambient_rank))
-                     for i in range(self.ambient_rank))
+            y[i] %= di
+        return tuple(mat_vec(self._uinv, y))
 
     def class_key(self, vec) -> Vector:
         """A tuple that two vectors share exactly when their classes agree.
@@ -350,37 +333,28 @@ class AbelianGroup:
         diagonal entry dropped.  Unlike :meth:`reduce` it does not map y back
         through U^-1, so it is a key, not a representative.
         """
-        if len(vec) != self.ambient_rank:
-            raise ValueError("vector has wrong length for this group")
-        key = []
-        for row, di in zip(self._u, self._diag + (0,) * self.free_rank):
-            if di != 1:
-                y = sum(map(mul, row, vec))
-                key.append(y % di if di else y)
-        return tuple(key)
+        diag = self._diag + (0,) * self.free_rank
+        return tuple(y % di if di else y
+                     for y, di in zip(self._coords(vec), diag) if di != 1)
 
     def preimage(self, vec) -> Vector | None:
         """One integer x with mat @ x == vec, or None if there is none.
 
         With U mat V = D, solve D z = U vec entrywise; then x = V z.
         """
-        if len(vec) != self.ambient_rank:
-            raise ValueError("vector has wrong length for this group")
-        y = [sum(row[k] * vec[k] for k in range(self.ambient_rank))
-             for row in self._u]
+        y = self._coords(vec)
         if any(y[len(self._diag):]):
             return None
         z = [0] * len(self._v)
         for i, di in enumerate(self._diag):
-            if y[i] % di:
+            z[i], rem = divmod(y[i], di)
+            if rem:
                 return None
-            z[i] = y[i] // di
-        return tuple(sum(row[k] * z[k] for k in range(len(z)))
-                     for row in self._v)
+        return tuple(mat_vec(self._v, z))
 
     def contains(self, vec) -> bool:
         """Whether ``vec`` lies in the subgroup that was quotiented out."""
-        return all(x == 0 for x in self.reduce(vec))
+        return not any(self.class_key(vec))
 
     def torsion_lifts(self) -> list[tuple[Vector, int]]:
         """(lift, order) pairs generating the torsion subgroup."""

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, product
+from operator import index
 
 from . import errors, lattice, oracle, sod
 from .extraction import (ExtractionDatum, koszul_corners, make_datum,
@@ -35,10 +36,14 @@ class ModelPair:
 
 
 def y_label(pair: ModelPair, k_local) -> tuple[int, ...]:
-    """A length-n local label on the target fan's rays (0 on the extra ray)."""
+    """A length-n local label on the target fan's rays (0 on the extra ray).
+
+    Every entry must be an integer (``operator.index``); a float raises
+    TypeError rather than being truncated.
+    """
     if len(k_local) != pair.datum.n:
         raise ValueError(f"label must have length {pair.datum.n}")
-    return tuple(int(k) for k in k_local) + (0,)
+    return tuple(map(index, k_local)) + (0,)
 
 
 def x_label(pair: ModelPair, k_full) -> tuple[int, ...]:
@@ -47,7 +52,7 @@ def x_label(pair: ModelPair, k_full) -> tuple[int, ...]:
     if len(k_full) != n + 1:
         raise ValueError(f"label must have length {n + 1}")
     full = y_label(pair, k_full[:n])
-    return full[:e] + (int(k_full[n]),) + full[e:]
+    return full[:e] + (index(k_full[n]),) + full[e:]
 
 
 # ---------------------------------------------------------------------------
@@ -229,13 +234,10 @@ def transfer_label(pair: ModelPair, fiber: FiberModel, k_local):
     r_i <m, v_i> = k_i on the center rays; the fiber label then shifts every
     star exponent by the monomial twist: ktilde_j = k_j - r_j <m, u_j>.
     """
-    d = pair.datum
-    if len(k_local) != d.n:
-        raise ValueError(f"local label must have length {d.n}")
-    m0 = fiber.transfer.preimage(k_local[:d.alpha])
+    full = y_label(pair, k_local)
+    m0 = fiber.transfer.preimage(full[:pair.datum.alpha])
     if m0 is None:
         return None
-    full = y_label(pair, k_local)
     out = []
     for j in fiber.source_rays:
         twist = pair.fan_y.orders[j] * sum(

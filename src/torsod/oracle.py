@@ -420,48 +420,37 @@ def check_complete(fan: StackyFan) -> bool:
     shared with exactly one other maximal cone lying on the opposite side,
     and a deterministic generic point to be covered exactly once (which rules
     out overlapping interiors).
+
+    Each cone is read off one integer adjugate.  With the cone's rays as
+    rows, rays @ adj == det * identity, so column i of adj is the normal of
+    the facet without ray i and <ray_i, col_i> == det.  The partner cone's
+    other ray lies across that facet iff det * <col_i, v> < 0, and a point
+    lies inside the cone iff det * <point, col_i> > 0 for every i.  In rank 1
+    the adjugate is [[1]] and det is the ray itself.
     """
     d = fan.rank
     if d == 0:
         return fan.max_cones == ((),)
-    for cone in fan.max_cones:
-        if len(cone) != d:
-            return False
-    if d == 1:
-        if len(fan.max_cones) != 2:
-            return False
-        signs = {1 if fan.rays[c[0]][0] > 0 else -1 for c in fan.max_cones}
-        return signs == {1, -1}
-
-    normals = []
+    if any(len(cone) != d for cone in fan.max_cones):
+        return False
     cone_sets = [set(c) for c in fan.max_cones]
+    geometry = []
     for ci, cone in enumerate(fan.max_cones):
-        for drop in cone:
-            facet = sorted(set(cone) - {drop})
-            kernel = lattice.integer_kernel([list(fan.rays[j]) for j in facet])
-            if len(kernel) != 1:
-                return False
-            normal = kernel[0]
-            normals.append(normal)
-            partners = [cj for cj, other in enumerate(cone_sets)
-                        if cj != ci and set(facet) <= other]
+        cols = lattice.transpose(_adjugate([list(fan.rays[j]) for j in cone]))
+        det = sum(map(mul, fan.rays[cone[0]], cols[0]))
+        geometry.append((det, cols))
+        for drop, col in zip(cone, cols):
+            facet = cone_sets[ci] - {drop}
+            partners = [other for cj, other in enumerate(cone_sets)
+                        if cj != ci and facet <= other]
             if len(partners) != 1:
                 return False
-            other_extra = (cone_sets[partners[0]] - set(facet)).pop()
-            side_a = sum(x * y for x, y in zip(normal, fan.rays[drop]))
-            side_b = sum(x * y for x, y in zip(normal, fan.rays[other_extra]))
-            if side_a == 0 or side_b == 0 or (side_a > 0) == (side_b > 0):
+            (other_extra,) = partners[0] - facet
+            if det * sum(map(mul, col, fan.rays[other_extra])) >= 0:
                 return False
-
-    point = _generic_point(d, normals)
-    inside = 0
-    for cone in fan.max_cones:
-        coords = lattice.solve_rational(
-            lattice.transpose([list(fan.rays[j]) for j in cone]), point)
-        if coords is None:
-            return False
-        if all(x > 0 for x in coords):
-            inside += 1
+    point = _generic_point(d, [col for _, cols in geometry for col in cols])
+    inside = sum(all(det * sum(map(mul, point, col)) > 0 for col in cols)
+                 for det, cols in geometry)
     return inside == 1
 
 

@@ -30,7 +30,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from operator import attrgetter, mul, sub
+from operator import attrgetter, index, mul, sub
 
 from . import errors, lattice
 from .extraction import (
@@ -543,16 +543,17 @@ def generation_certificate(d: ExtractionDatum, targets,
 
     Each root's W is computed once; down the descent a corner's W is its
     parent's minus the corner sum, found once per call.  ``targets`` may be
-    any iterable of labels and is read once.  Line-bundle nodes are looked up
-    in one label map per witness, and the nodes are sorted by key once, at
-    the end.
+    any iterable of labels and is read once; every entry must be an integer
+    (``operator.index``), so a float raises TypeError rather than being
+    truncated.  Line-bundle nodes are looked up in one label map per witness,
+    and the nodes are sorted by key once, at the end.
     """
     ctx = _extraction_context(d)
     n, alpha = d.n, d.alpha
     C = ctx.C
     roots = []
     for target in targets:
-        label = tuple(int(x) for x in target)
+        label = tuple(map(index, target))
         if len(label) != n:
             raise ValueError(f"target label must have length {n}")
         W_label = ctx.W(label)

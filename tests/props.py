@@ -30,10 +30,11 @@ from torsod.lattice import (
     cokernel,
     determinant,
     identity_matrix,
+    integer_kernel,
     primitivize,
     quotient_project,
     smith_normal_form_full,
-    solve_rational,
+    transpose,
 )
 from torsod.serialize import certificate_from_obj, certificate_to_obj
 from torsod.sod import (BlockLabel, OrthogonalityEntry,
@@ -80,6 +81,71 @@ def ref_determinant(mat):
     return sum((-1) ** j * x * ref_determinant([row[:j] + row[j + 1:]
                                                 for row in mat[1:]])
                for j, x in enumerate(mat[0]) if x)
+
+
+def solve_rational(mat, rhs):
+    """Reference: the unique x with mat @ x == rhs by Cramer's rule in
+    ``Fraction``s; None if det(mat) == 0."""
+    det = determinant(mat)
+    if det == 0:
+        return None
+    return tuple(
+        Fraction(determinant([[*row[:j], b, *row[j + 1:]]
+                              for row, b in zip(mat, rhs)]), det)
+        for j in range(len(mat)))
+
+
+def ref_check_complete(fan):
+    """Reference for ``oracle.check_complete``: per-facet kernels, Cramer.
+
+    Each facet's normal is the one integer kernel vector of its rays, the
+    unique partner cone's other ray must lie strictly across it, and the
+    generic point (1, t, t^2, ...) avoiding every facet hyperplane must have
+    all-positive ``solve_rational`` coordinates in exactly one cone.  Rank 1
+    is two cones on opposite sides of 0.
+    """
+    d = fan.rank
+    if d == 0:
+        return fan.max_cones == ((),)
+    if any(len(cone) != d for cone in fan.max_cones):
+        return False
+    if d == 1:
+        if len(fan.max_cones) != 2:
+            return False
+        return {fan.rays[c[0]][0] > 0 for c in fan.max_cones} == {True, False}
+    normals = []
+    cone_sets = [set(c) for c in fan.max_cones]
+    for ci, cone in enumerate(fan.max_cones):
+        for drop in cone:
+            facet = cone_sets[ci] - {drop}
+            kernel = integer_kernel([list(fan.rays[j]) for j in sorted(facet)])
+            if len(kernel) != 1:
+                return False
+            normal = kernel[0]
+            normals.append(normal)
+            partners = [other for cj, other in enumerate(cone_sets)
+                        if cj != ci and facet <= other]
+            if len(partners) != 1:
+                return False
+            (other_extra,) = partners[0] - facet
+            side_a = sum(x * y for x, y in zip(normal, fan.rays[drop]))
+            side_b = sum(x * y for x, y in zip(normal, fan.rays[other_extra]))
+            if side_a == 0 or side_b == 0 or (side_a > 0) == (side_b > 0):
+                return False
+    t = 1
+    while True:
+        point = tuple(t ** i for i in range(d))
+        if all(sum(x * y for x, y in zip(n, point)) for n in normals):
+            break
+        t += 1
+    inside = 0
+    for cone in fan.max_cones:
+        coords = solve_rational(
+            transpose([list(fan.rays[j]) for j in cone]), point)
+        if coords is None:
+            return False
+        inside += all(x > 0 for x in coords)
+    return inside == 1
 
 
 def _settings(max_examples):

@@ -10,7 +10,6 @@ SRC = Path(torsod.__file__).resolve().parent
 UNCALLED = {
     "certificate_to_obj": "certificate schema, no reader yet (ROADMAP 9)",
     "certificate_from_obj": "certificate schema, no reader yet (ROADMAP 9)",
-    "solve_integer": "one-line wrapper pinned by a test_cli count",
     "section_count": "public section-polytope read; the self-check reads "
                      "its slice of the label scan directly",
 }

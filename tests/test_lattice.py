@@ -3,7 +3,7 @@ from fractions import Fraction
 from math import prod
 
 import pytest
-from props import mat_mul, ref_determinant, ref_rank_q
+from props import mat_mul, ref_determinant, ref_rank_q, solve_rational
 
 from torsod.lattice import (
     AbelianGroup,
@@ -16,8 +16,6 @@ from torsod.lattice import (
     quotient_project,
     rank_q,
     smith_normal_form_full,
-    solve_integer,
-    solve_rational,
 )
 
 
@@ -122,12 +120,13 @@ def test_integer_kernel():
 
 
 def test_solve_integer():
-    assert solve_integer([[2, 0], [0, 3]], [4, 9]) == (2, 3)
-    assert solve_integer([[2, 0], [0, 3]], [1, 0]) is None
+    # an integer solve is the preimage in the cokernel of the matrix
+    assert cokernel([[2, 0], [0, 3]]).preimage([4, 9]) == (2, 3)
+    assert cokernel([[2, 0], [0, 3]]).preimage([1, 0]) is None
     # underdetermined: any valid solution is acceptable
-    sol = solve_integer([[1, 2]], [5])
+    sol = cokernel([[1, 2]]).preimage([5])
     assert sol is not None and sol[0] + 2 * sol[1] == 5
-    assert solve_integer([[2, 4]], [3]) is None
+    assert cokernel([[2, 4]]).preimage([3]) is None
 
 
 def test_preimage_on_random_matrices():
@@ -145,8 +144,15 @@ def test_preimage_on_random_matrices():
         assert p is not None and mat_vec(mat, p) == image, mat
         vec = [rng.randint(-5, 5) for _ in range(rows)]
         p = group.preimage(vec)
-        assert (p is None) == (not group.contains(vec)), (mat, vec)
         assert p is None or mat_vec(mat, p) == vec, (mat, vec)
+        # one Smith-coordinate map answers every membership question alike
+        for v in (image, vec):
+            member = group.contains(v)
+            assert member == (group.preimage(v) is not None), (mat, v)
+            assert member == (not any(group.class_key(v))), (mat, v)
+            rep = group.reduce(v)
+            assert group.reduce(rep) == rep, (mat, v)
+            assert group.class_key(rep) == group.class_key(v), (mat, v)
 
 
 def test_class_key_separates_exactly_the_classes():

@@ -117,6 +117,22 @@ def test_labels_spread_onto_fans(a1_half):
         x_label(a1_half, (2, -1))
 
 
+def test_y_label_refuses_non_integers(a1_half):
+    with pytest.raises(TypeError):
+        y_label(a1_half, (1.5, 0))
+
+
+def test_x_label_refuses_non_integers(a1_half):
+    with pytest.raises(TypeError):
+        x_label(a1_half, (1, 0, 2.7))
+
+
+def test_transfer_label_refuses_non_integers(a1_half_line):
+    # the float is read as a label before any character is solved for
+    with pytest.raises(TypeError):
+        transfer_label(a1_half_line, fiber_model(a1_half_line), (2.5, 2, 3))
+
+
 def test_labels_follow_the_fan_layout():
     # A unit label e_i must be nonzero on exactly the fan ray whose ray and
     # order are (v_i, r_i).  The target has no v_E, so e_E is zero there, and

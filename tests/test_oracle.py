@@ -3,7 +3,7 @@ import random
 from collections import Counter, defaultdict
 from dataclasses import fields, replace
 from itertools import combinations, product
-from math import comb, prod
+from math import comb, gcd, prod
 from pathlib import Path
 
 import pytest
@@ -26,6 +26,7 @@ from torsod.errors import (
     NonSimplicial,
     OracleBoxError,
     SchemaError,
+    ValidationError,
 )
 from torsod import lattice, oracle
 from torsod.oracle import (
@@ -37,7 +38,7 @@ from torsod.oracle import (
     _scan_kernel,
 )
 
-from props import ref_vertex_box
+from props import ref_check_complete, ref_vertex_box
 from test_golden import GOLDEN, run_command
 
 
@@ -186,9 +187,57 @@ def test_check_complete_overlapping_cones():
     assert not check_complete(fan)
 
 
+def test_check_complete_pentagram():
+    # Five cones u_i u_(i+2) wind twice around the origin: every facet has
+    # one partner across it, and only the generic point, covered twice,
+    # tells this fan from a complete one.
+    rays = ((1, 0), (1, 3), (-4, 3), (-4, -3), (1, -3))
+    fan = make_fan(2, rays, (1,) * 5, [(i, (i + 2) % 5) for i in range(5)])
+    assert not check_complete(fan)
+    assert not ref_check_complete(fan)
+
+
 def test_check_complete_affine_line():
     fan = make_fan(1, ((1,),), (1,), ((0,),))
     assert not check_complete(fan)
+
+
+def test_check_complete_matches_the_facet_kernel_reference(monkeypatch):
+    # Seeded fans of rank 1-3, every draw that validates kept: rank 1 on one
+    # or two of +-1; ranks 2-3 on d+1..5 primitive rays in [-2, 2]^d, each
+    # d-subset a cone with a probability drawn per fan.
+    pools = {d: [v for v in product(range(-2, 3), repeat=d) if gcd(*v) == 1]
+             for d in (2, 3)}
+    rng = random.Random(30)
+    fans = []
+    for _ in range(6000):
+        d = rng.randint(1, 3)
+        if d == 1:
+            rays = rng.sample([(1,), (-1,)], rng.randint(1, 2))
+        else:
+            rays = rng.sample(pools[d], rng.randint(d + 1, 5))
+        keep = rng.uniform(0.5, 1)
+        cones = [c for c in combinations(range(len(rays)), d)
+                 if rng.random() < keep]
+        try:
+            fans.append(make_fan(d, rays, [1] * len(rays), cones))
+        except ValidationError:
+            pass
+    catalog = _box_theorem_fans()
+    fans += catalog
+    smith = []
+    real = lattice.smith_normal_form_full
+    monkeypatch.setattr(lattice, "smith_normal_form_full",
+                        lambda mat: smith.append(mat) or real(mat))
+    got = [check_complete(fan) for fan in fans]
+    assert smith == []
+    monkeypatch.undo()
+    assert got == [ref_check_complete(fan) for fan in fans]
+    assert all(got[-len(catalog):])
+    for d in (1, 2, 3):
+        # seed 30: 619 of 1389, 65 of 1177 and 27 of 1161 valid fans complete
+        verdicts = [ok for fan, ok in zip(fans, got) if fan.rank == d]
+        assert 0 < sum(verdicts) < len(verdicts), d
 
 
 def test_rank_zero_point():
@@ -520,3 +569,26 @@ def test_oracle_imports_no_torsod_module_but_errors_and_lattice():
                             for alias in node.names
                             if alias.name.split(".")[0] == "torsod")
     assert imported == {"errors", "lattice"}
+
+
+def test_lattice_has_no_fractions_and_completeness_no_facet_kernels():
+    """``lattice`` stays integer; ``check_complete`` reads cone adjugates."""
+    source = Path(lattice.__file__).read_text(encoding="utf-8")
+    imported = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.module:
+            imported.add(node.module.split(".")[0])
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name.split(".")[0] for alias in node.names)
+    assert "fractions" not in imported
+    source = Path(oracle.__file__).read_text(encoding="utf-8")
+    (check,) = [node for node in ast.walk(ast.parse(source))
+                if isinstance(node, ast.FunctionDef)
+                and node.name == "check_complete"]
+    named = set()
+    for node in ast.walk(check):
+        if isinstance(node, ast.Name):
+            named.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            named.add(node.attr)
+    assert not named & {"integer_kernel", "solve_rational"}

@@ -160,6 +160,11 @@ def test_requires_extraction():
         generation_certificate(contraction, [(0, 0)])
 
 
+def test_generation_certificate_refuses_non_integers(a1_half):
+    with pytest.raises(TypeError):
+        generation_certificate(a1_half.datum, [(1.9, 0)])
+
+
 def test_solved_exponent_and_divisibility(a1_half):
     d = a1_half.datum
     assert solved_exceptional_exponent(d, (1, 1)) == Fraction(1, 2)
