@@ -116,27 +116,43 @@ def cmd_classify(args) -> int:
 # sod
 
 
-def _certificate_check(datum, cert: sod.GenerationCertificate) -> report.Check:
-    """Verify ``cert`` and build its row; a certificate passed inline is
-    freed when this returns."""
-    verdict = sod.verify_certificate(datum, cert)
+def _certificate_check(datum, parts: list, max_depth: int) -> report.Check:
+    """Build, verify and free the certificate of each part of the targets in
+    turn, and sum the parts into one row.
+
+    ``parts`` is emptied as it is read, so each part's targets are freed
+    with its certificate.  The violations come part by part, in the order
+    of ``parts``.
+    """
+    targets = nodes = 0
+    violations = []
+    while parts:
+        cert = sod.generation_certificate(datum, parts.pop(0),
+                                          max_depth=max_depth)
+        violations += sod.verify_certificate(datum, cert).violations
+        targets += len(cert.targets)
+        nodes += len(cert.nodes)
+        del cert   # free this part before the next one is built
     return report.Check(
-        name="generation-certificate", ok=verdict.ok,
-        summary=f"{len(cert.targets)} targets, {len(cert.nodes)} nodes, "
-                f"{len(verdict.violations)} violations",
+        name="generation-certificate", ok=not violations,
+        summary=f"{targets} targets, {nodes} nodes, "
+                f"{len(violations)} violations",
         rows=tuple({"code": code, "node": key, "detail": detail}
-                   for code, key, detail in verdict.violations))
+                   for code, key, detail in violations))
 
 
 def cmd_sod(args) -> int:
     name, datum, _, digest = _load_datum(args.model)
-    # The certificate refuses an over-deep descent before any enumeration.
-    # Its row is built at once, so the certificate is freed before the
-    # decomposition is enumerated; the row still comes last.
+    # The generation certificate splits into one closed DAG per root witness
+    # (sod.targets_by_witness), so each part is built, verified and freed
+    # before the next, in ascending witness order: the largest part, not the
+    # whole DAG, bounds the memory.  An over-deep descent is refused while
+    # the targets are split, before any node is built or anything is
+    # enumerated.  The row is built first and still comes last.
     bound = args.box
-    cert_check = _certificate_check(datum, sod.generation_certificate(
+    cert_check = _certificate_check(datum, sod.targets_by_witness(
         datum, product(range(-bound, bound + 1), repeat=datum.n),
-        max_depth=args.max_depth))
+        max_depth=args.max_depth), args.max_depth)
     checks = []
 
     cls = classify(datum)

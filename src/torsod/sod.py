@@ -230,14 +230,6 @@ def extend_block_label(d: ExtractionDatum, label) -> tuple[int, ...]:
     return tuple(label) + (0,) * (d.n - d.alpha)
 
 
-def _shifted(label, subset) -> tuple[int, ...]:
-    """``label`` minus the indicator vector of the Koszul corner ``subset``."""
-    out = list(label)
-    for i in subset:
-        out[i] -= 1
-    return tuple(out)
-
-
 def transfer_is_invertible(ctx: DatumContext, k_local) -> bool:
     """Exact dichotomy: the fiber transfer of k_local is invertible or zero.
 
@@ -507,9 +499,23 @@ class GenerationCertificate:
         return {node.key: node for node in self.nodes}
 
 
-def _node_key(prefix: str, label, witness: int) -> str:
-    """Node key: prefix "L" for a line bundle (span or koszul), "B" a block."""
-    return f"{prefix}|{','.join(map(str, label))}|{witness}"
+def _key_pattern(prefix: str, n: int) -> str:
+    """The ``%`` pattern of a node key, for labels of length n.
+
+    Prefix "L" marks a line bundle (span or koszul), "B" a block; the label's
+    entries come next, then the witness: ``_key_pattern("L", 2) % (1, -2, 0)``
+    is ``"L|1,-2|0"``.
+    """
+    return prefix + "|" + ",".join(["%d"] * n) + "|%d"
+
+
+def _corner_vectors(n: int, alpha: int) -> list[tuple[int, ...]]:
+    """The length-n indicator vectors of the nonempty Koszul corners.
+
+    A corner child's label is its parent's minus one of these vectors.
+    """
+    return [tuple(int(i in subset) for i in range(n))
+            for subset in koszul_corners(alpha)[1:]]
 
 
 def _window_witness(ctx: DatumContext, W_n: int) -> int:
@@ -526,6 +532,58 @@ def _window_witness(ctx: DatumContext, W_n: int) -> int:
     return k
 
 
+def _roots(ctx: DatumContext, targets, max_depth: int):
+    """Yield each target as (label, witness, W); refuse an over-deep descent.
+
+    ``targets`` may be any iterable of labels and is read once; every entry
+    must be an integer (``operator.index``), so a float raises TypeError
+    rather than being truncated.  Each root's W is computed once.
+
+    Every corner lowers W by at least m = min(c_i : i <= alpha), and the
+    corner e_i at that minimum lowers it by exactly m, so the longest descent
+    from a root with W_0 > 0 has exactly ceil(W_0 / m) steps, and none from a
+    span root.  That bound is checked against ``max_depth`` once the last
+    target is read, so a caller that reads every root first builds no node
+    of a refused certificate.
+    """
+    d = ctx.datum
+    n, C = d.n, ctx.C
+    W_max = 0
+    for target in targets:
+        label = tuple(map(index, target))
+        if len(label) != n:
+            raise ValueError(f"target label must have length {n}")
+        W_label = ctx.W(label)
+        witness = _window_witness(ctx, W_label)
+        W = W_label - C * witness
+        if W > W_max:
+            W_max = W
+        yield label, witness, W
+    if -(-W_max // min(ctx.c[:d.alpha])) > max_depth:
+        raise errors.DepthExceeded(
+            f"generation recursion exceeded depth {max_depth}")
+
+
+def targets_by_witness(d: ExtractionDatum, targets,
+                       max_depth: int = 64) -> list[list[tuple[int, ...]]]:
+    """The targets split by root witness, in ascending witness order.
+
+    Every node of a certificate carries its root's witness: Koszul children
+    and block leaves inherit it, and :func:`verify_certificate` checks that
+    they do (CORNER_SET, BLOCK_MISMATCH).  So the certificate of one group is
+    a closed DAG, the groups' certificates are node-disjoint, and together
+    they hold exactly the nodes of the certificate of all the targets.
+    ``targets`` is read once, each group keeps the input order, and an
+    over-deep descent is refused as :func:`generation_certificate` refuses
+    it, before any node is built.
+    """
+    groups: dict[int, list[tuple[int, ...]]] = {}
+    for label, witness, _ in _roots(_extraction_context(d), targets,
+                                    max_depth):
+        groups.setdefault(witness, []).append(label)
+    return [groups[witness] for witness in sorted(groups)]
+
+
 def generation_certificate(d: ExtractionDatum, targets,
                            max_depth: int = 64) -> GenerationCertificate:
     """Build the Koszul descent DAG proving the targets are generated.
@@ -536,36 +594,21 @@ def generation_certificate(d: ExtractionDatum, targets,
     block leaf.  The coordinate sum strictly decreases toward the corners, so
     the descent terminates; nodes are shared across targets.
 
-    Every corner lowers W by at least m = min(c_i : i <= alpha), and the
-    corner e_i at that minimum lowers it by exactly m, so the longest descent
-    from a root with W_0 > 0 has exactly ceil(W_0 / m) steps.  That bound is
+    The targets are read once, and the depth bound of :func:`_roots` is
     checked against ``max_depth`` for every target before any node is built.
-
-    Each root's W is computed once; down the descent a corner's W is its
-    parent's minus the corner sum, found once per call.  ``targets`` may be
-    any iterable of labels and is read once; every entry must be an integer
-    (``operator.index``), so a float raises TypeError rather than being
-    truncated.  Line-bundle nodes are looked up in one label map per witness,
-    and the nodes are sorted by key once, at the end.
+    Down the descent a corner's W is its parent's minus the corner sum and
+    its label its parent's minus the corner vector, both found once per
+    call, as are the two key patterns.  Line-bundle nodes are looked up in
+    one label map per witness, and the nodes are sorted by key once, at the
+    end.
     """
     ctx = _extraction_context(d)
-    n, alpha = d.n, d.alpha
-    C = ctx.C
-    roots = []
-    for target in targets:
-        label = tuple(map(index, target))
-        if len(label) != n:
-            raise ValueError(f"target label must have length {n}")
-        W_label = ctx.W(label)
-        witness = _window_witness(ctx, W_label)
-        roots.append((label, witness, W_label - C * witness))
-    m = min(ctx.c[:alpha])   # ceil(W_0 / m) steps, none from a span root
-    if any(max(0, -(-W // m)) > max_depth for _, _, W in roots):
-        raise errors.DepthExceeded(
-            f"generation recursion exceeded depth {max_depth}")
+    n = d.n
+    roots = list(_roots(ctx, targets, max_depth))
 
-    corners = [(subset, sum(ctx.c[i] for i in subset))
-               for subset in koszul_corners(alpha)[1:]]
+    corners = [(vec, sum(map(mul, ctx.c, vec)))
+               for vec in _corner_vectors(n, d.alpha)]
+    line_fmt, block_fmt = _key_pattern("L", n), _key_pattern("B", n)
     built: list[CertificateNode] = []
     lines: dict[int, dict[tuple[int, ...], CertificateNode]] = {}
     for pos, (root, witness, W_root) in enumerate(roots):
@@ -584,25 +627,26 @@ def generation_certificate(d: ExtractionDatum, targets,
                 if not (-ctx.S_alpha < W):
                     raise AssertionError("spanning leaf outside its window")
                 node = CertificateNode(
-                    key=_node_key("L", label, witness), label=label,
+                    key=line_fmt % (*label, witness), label=label,
                     witness=witness, W=W, kind="span")
             elif kids is None:
                 if not (W <= -ctx.S):
                     raise AssertionError("koszul node outside its window")
-                kids = [(_shifted(label, subset), W - part)
-                        for subset, part in corners]
+                kids = [(tuple(map(sub, label, vec)), W - part, None)
+                        for vec, part in corners]
                 stack.append((label, W, kids))
-                stack.extend((kid, W_kid, None) for kid, W_kid in kids)
+                stack.extend(kids)
                 continue
             else:
+                fields = (*label, witness)
                 block = CertificateNode(
-                    key=_node_key("B", label, witness), label=label,
+                    key=block_fmt % fields, label=label,
                     witness=witness, W=W, kind="block")
                 built.append(block)
                 node = CertificateNode(
-                    key=_node_key("L", label, witness), label=label,
+                    key=line_fmt % fields, label=label,
                     witness=witness, W=W, kind="koszul",
-                    children=tuple(seen[kid].key for kid, _ in kids),
+                    children=tuple([seen[kid].key for kid, _, _ in kids]),
                     block_key=block.key)
             seen[label] = node
             built.append(node)
@@ -639,7 +683,7 @@ def verify_certificate(d: ExtractionDatum,
     """
     ctx = _extraction_context(d)
     n = d.n
-    corners = koszul_corners(d.alpha)[1:]
+    corners = _corner_vectors(n, d.alpha)
     R, Sa, S = ctx.R, ctx.S_alpha, ctx.S
     violations: list[tuple[str, str, str]] = []
     node_map: dict[str, CertificateNode] = {}
@@ -678,8 +722,8 @@ def verify_certificate(d: ExtractionDatum,
             # The 2^alpha - 1 corners are distinct, so the children are
             # exactly the corners when they have as many members and the
             # same set.  A child that is a corner has a smaller sum.
-            expected = {(_shifted(node.label, subset), node.witness)
-                        for subset in corners}
+            expected = {(tuple(map(sub, node.label, vec)), node.witness)
+                        for vec in corners}
             measure = sum(node.label)
             got = []
             for ckey in node.children:

@@ -8,6 +8,7 @@ budget without duplicating the strategies.
 from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
+from operator import attrgetter
 from itertools import combinations, product
 from math import ceil, floor, gcd, lcm, prod
 
@@ -39,7 +40,7 @@ from torsod.lattice import (
 from torsod.serialize import certificate_from_obj, certificate_to_obj
 from torsod.sod import (BlockLabel, OrthogonalityEntry,
                         _restricted_class_lattice, _vanishes, _window_witness,
-                        block_labels)
+                        block_labels, targets_by_witness)
 
 
 def mat_mul(a, b):
@@ -607,6 +608,35 @@ def ref_longest_descent(cert):
     return max(height.values(), default=0)
 
 
+def check_witness_parts(d, targets, whole):
+    """The certificates of the ``targets_by_witness`` parts add up to ``whole``.
+
+    ``whole`` is the certificate of all of ``targets``.  The parts are
+    node-disjoint, each part's nodes carry the one witness of its targets,
+    ascending from part to part, their nodes together are the nodes of
+    ``whole``, and their targets, put back in input order, are the targets
+    of ``whole``.
+    """
+    parts = [generation_certificate(d, part)
+             for part in targets_by_witness(d, targets)]
+    witnesses = []
+    for part in parts:
+        (witness,) = {node.witness for node in part.nodes}
+        assert {part.node_map()[key].witness
+                for _, key in part.targets} == {witness}
+        witnesses.append(witness)
+    assert witnesses == sorted(set(witnesses))
+    nodes = [node for part in parts for node in part.nodes]
+    assert len({node.key for node in nodes}) == len(nodes)
+    assert tuple(sorted(nodes, key=attrgetter("key"))) == whole.nodes
+    part_of = {label: pos for pos, part in enumerate(parts)
+               for label, _ in part.targets}
+    rest = [iter(part.targets) for part in parts]
+    assert sum(len(part.targets) for part in parts) == len(whole.targets)
+    assert tuple(next(rest[part_of[tuple(target)]])
+                 for target in targets) == whole.targets
+
+
 def _tamper(rng, cert):
     """Redraw the children, block key or kind of one to three nodes."""
     keys = [node.key for node in cert.nodes]
@@ -665,6 +695,7 @@ def run_certificate_roundtrip_properties(max_examples):
                 alias = data.draw(st.sampled_from(b.aliases))
                 targets.append(extend_block_label(d, alias))
         cert = generation_certificate(d, targets)
+        check_witness_parts(d, targets, cert)
         roots = cert.node_map()
         assert all(roots[key].kind == "koszul"
                    for _, key in cert.targets[count:])

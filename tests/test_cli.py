@@ -1,5 +1,8 @@
 import json
 import tracemalloc
+from dataclasses import replace
+from itertools import product
+from operator import itemgetter
 
 import pytest
 
@@ -251,53 +254,108 @@ def test_sod_max_depth_bounds_every_target(tmp_path, capsys):
 
 
 def test_sod_refuses_depth_before_enumerating(tmp_path, capsys,
-                                              monkeypatch):
-    datum = make_datum(((1, 0), (1, 2), (1, 1)), (1, 1, -2), (10, 10, 1))
-    path = tmp_path / "datum.json"
-    path.write_bytes(canonical_json_bytes(datum_to_obj(datum)))
-
-    def refuse(d):
-        raise AssertionError("decompose ran before the depth refusal")
+                                              monkeypatch, stress_datum):
+    # Neither a certificate part nor the decomposition is built: the depth
+    # is refused while the targets are split by witness.
+    def refuse(*args, **kwargs):
+        raise AssertionError("built before the depth refusal")
     monkeypatch.setattr(sod, "decompose", refuse)
-    code, _, err = run(["sod", str(path), "--max-depth", "1"], capsys)
-    assert code == 2
-    assert err == "error: generation recursion exceeded depth 1\n"
+    monkeypatch.setattr(sod, "generation_certificate", refuse)
+    for datum in (make_datum(((1, 0), (1, 2), (1, 1)), (1, 1, -2),
+                             (10, 10, 1)), stress_datum):
+        path = tmp_path / "datum.json"
+        path.write_bytes(canonical_json_bytes(datum_to_obj(datum)))
+        code, _, err = run(["sod", str(path), "--max-depth", "1"], capsys)
+        assert code == 2
+        assert err == "error: generation recursion exceeded depth 1\n"
 
 
-def test_sod_working_set_is_the_certificate(tmp_path, capsys, monkeypatch,
-                                           stress_datum):
+def test_sod_working_set_is_the_largest_witness_part(tmp_path, capsys,
+                                                     monkeypatch,
+                                                     stress_datum):
     # Traced bytes of `sod` on the stress datum at box 5 (22,759 nodes).
-    # Building the certificate may trace at most 1.2 times what the
-    # certificate retains, and the whole command at most 1.3 times: the
-    # nodes are slotted, the targets are read once, and the certificate is
-    # freed once its row is built.  Box 5 is the smallest box where the
+    # The command builds, verifies and frees one certificate per root
+    # witness, so the whole command traces at most 0.8 times what one
+    # certificate of the whole box retains.  Built at once, that
+    # certificate makes the command trace about 1.12 times as much; built
+    # by parts, about 0.67 times.  Building the largest part may trace at
+    # most 1.2 times what that part retains: the nodes are slotted and the
+    # targets are read once.  Box 5 is the smallest box where the
     # certificate outweighs the decomposition.
     path = tmp_path / "stress.json"
     path.write_bytes(canonical_json_bytes(datum_to_obj(stress_datum)))
     build = sod.generation_certificate
-    seen = {}
+    parts, outside = [], [0]
 
     def traced_build(*args, **kwargs):
-        before, seen["peak_before"] = tracemalloc.get_traced_memory()
+        before, peak = tracemalloc.get_traced_memory()
+        outside[0] = max(outside[0], peak)
         tracemalloc.reset_peak()
         cert = build(*args, **kwargs)
         after, peak = tracemalloc.get_traced_memory()
-        seen.update(retained=after - before, peak=peak - before,
-                    node=cert.nodes[0])
+        parts.append((len(cert.nodes), after - before, peak - before,
+                      cert.nodes[0]))
         return cert
 
-    monkeypatch.setattr(sod, "generation_certificate", traced_build)
     tracemalloc.start()
     try:
+        before = tracemalloc.get_traced_memory()[0]
+        whole = build(stress_datum,
+                      product(range(-5, 6), repeat=stress_datum.n))
+        retained = tracemalloc.get_traced_memory()[0] - before
+        del whole
+        monkeypatch.setattr(sod, "generation_certificate", traced_build)
+        tracemalloc.reset_peak()
         start = tracemalloc.get_traced_memory()[0]
         code, _, _ = run(["sod", str(path), "--box", "5"], capsys)
-        peak = max(seen["peak_before"], tracemalloc.get_traced_memory()[1])
+        peak = max(outside[0], tracemalloc.get_traced_memory()[1])
     finally:
         tracemalloc.stop()
     assert code == 0
-    assert not hasattr(seen["node"], "__dict__")
-    assert seen["peak"] <= 1.2 * seen["retained"]
-    assert peak - start <= 1.3 * seen["retained"]
+    assert len(parts) >= 2
+    assert sum(nodes for nodes, _, _, _ in parts) == 22759
+    _, part_retained, part_peak, node = max(parts, key=itemgetter(0))
+    assert not hasattr(node, "__dict__")
+    assert part_peak <= 1.2 * part_retained
+    assert peak - start <= 0.8 * retained
+
+
+def test_sod_certificate_row_can_fail(tmp_path, capsys, monkeypatch):
+    # One node's stored W is shifted in the second of a1-half's three
+    # witness parts.  The row fails with that one violation, and every
+    # count and every other check is as in the passing run.
+    report = tmp_path / "report.json"
+    argv = ["sod", "a1-half", "--box", "2", "--json", str(report)]
+    code, _, _ = run(argv, capsys)
+    assert code == 0
+    passing = json.loads(report.read_bytes())["checks"]
+    build = sod.generation_certificate
+    calls, shifted = [], []
+
+    def shifting_build(*args, **kwargs):
+        cert = build(*args, **kwargs)
+        calls.append(len(cert.nodes))
+        if len(calls) != 2:
+            return cert
+        node = cert.nodes[0]
+        shifted.append(node.key)
+        return replace(cert, nodes=(replace(node, W=node.W + 1),)
+                       + cert.nodes[1:])
+
+    monkeypatch.setattr(sod, "generation_certificate", shifting_build)
+    code, _, _ = run(argv, capsys)
+    assert code == 1
+    failing = json.loads(report.read_bytes())["checks"]
+    assert len(calls) == 3
+    assert failing[:-1] == passing[:-1]
+    row, ok_row = failing[-1], passing[-1]
+    assert (row["name"], row["ok"], ok_row["ok"]) == (
+        "generation-certificate", False, True)
+    assert [(r["code"], r["node"]) for r in row["rows"]] == [
+        ("W_MISMATCH", shifted[0])]
+    assert ok_row["summary"] == f"25 targets, {sum(calls)} nodes, 0 violations"
+    assert row["summary"] == ok_row["summary"].replace("0 violations",
+                                                       "1 violations")
 
 
 def test_deeply_nested_json_is_invalid(tmp_path, capsys):

@@ -6,11 +6,12 @@ from math import lcm, prod
 
 import pytest
 
-from props import (ref_W, ref_block_groups, ref_has_cycle,
-                   ref_longest_descent, ref_semiorthogonality_entries,
-                   ref_sigma, ref_sigma_alpha, ref_vanishes,
-                   ref_window_witness, run_block_group_properties,
-                   solved_exceptional_exponent, weighted_sum)
+from props import (check_witness_parts, ref_W, ref_block_groups,
+                   ref_has_cycle, ref_longest_descent,
+                   ref_semiorthogonality_entries, ref_sigma, ref_sigma_alpha,
+                   ref_vanishes, ref_window_witness,
+                   run_block_group_properties, solved_exceptional_exponent,
+                   weighted_sum)
 from torsod import (
     BlockLabel,
     GenerationCertificate,
@@ -622,6 +623,14 @@ def test_certificates_verify_on_catalog(extraction_pairs):
                 assert node.W <= 0
             else:
                 assert node.W > 0
+
+
+def test_witness_parts_add_up_to_the_certificate(extraction_pairs,
+                                                 twist_datum, stress_datum):
+    for d in [pair.datum for pair in extraction_pairs] + [twist_datum,
+                                                          stress_datum]:
+        targets = list(product(range(-2, 3), repeat=d.n))
+        check_witness_parts(d, targets, generation_certificate(d, targets))
 
 
 # ---------------------------------------------------------------------------
