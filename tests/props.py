@@ -8,9 +8,9 @@ budget without duplicating the strategies.
 from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
-from operator import attrgetter
 from itertools import combinations, product
 from math import ceil, floor, gcd, lcm, prod
+from operator import attrgetter
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
