@@ -29,10 +29,11 @@ def _fmt_weight(W: int, R: int) -> str:
     return serialize.fraction_str(Fraction(W, R))
 
 
-def _load_datum(token):
-    """Resolve a catalog name or datum JSON path.
+def _load(token, fans=False):
+    """Resolve a catalog model name, a catalog fan name (with ``fans``), or
+    a JSON path holding a datum (a fan with ``fans``).
 
-    Returns (display name, datum, pair or None, input digest).
+    Returns (display name, pair or None, datum or fan, input digest).
     """
     if token in models.example_names():
         pair = models.canned_example(token)
@@ -41,50 +42,41 @@ def _load_datum(token):
             "fan_x": serialize.fan_to_obj(pair.fan_x),
             "fan_y": serialize.fan_to_obj(pair.fan_y),
         }))
-        return token, pair.datum, pair, digest
-    if os.path.exists(token):
-        obj, raw = serialize.load_json(token)
-        datum = serialize.datum_from_obj(obj)
-        return os.path.basename(token), datum, None, serialize.sha256_hex(raw)
-    if os.sep in token or token.endswith(".json"):
-        raise FileNotFoundError(token)
-    raise errors.UnknownExample(
-        f"unknown model {token!r}; available: "
-        f"{', '.join(models.example_names())}")
-
-
-def _load_fan_input(token):
-    """Resolve an oracle input: model name, fan name, or fan JSON path.
-
-    Returns (display name, pair or None, fan or None, digest).
-    """
-    if token in models.example_names():
-        name, _, pair, digest = _load_datum(token)
-        return name, pair, None, digest
-    if token in models.fan_names():
+        return token, pair, pair.datum, digest
+    if fans and token in models.fan_names():
         fan = models.canned_fan(token)
         digest = serialize.sha256_hex(
             serialize.canonical_json_bytes(serialize.fan_to_obj(fan)))
         return token, None, fan, digest
     if os.path.exists(token):
         obj, raw = serialize.load_json(token)
-        fan = serialize.fan_from_obj(obj)
-        return os.path.basename(token), None, fan, serialize.sha256_hex(raw)
+        parse = serialize.fan_from_obj if fans else serialize.datum_from_obj
+        return (os.path.basename(token), None, parse(obj),
+                serialize.sha256_hex(raw))
     if os.sep in token or token.endswith(".json"):
         raise FileNotFoundError(token)
-    raise errors.UnknownExample(
-        f"unknown model or fan {token!r}; available models: "
-        f"{', '.join(models.example_names())}; fans: "
-        f"{', '.join(models.fan_names())}")
+    names = ", ".join(models.example_names())
+    if fans:
+        raise errors.UnknownExample(
+            f"unknown model or fan {token!r}; available models: {names}; "
+            f"fans: {', '.join(models.fan_names())}")
+    raise errors.UnknownExample(f"unknown model {token!r}; available: {names}")
 
 
-def _write_outputs(args, run: report.RunReport) -> None:
+def _finish(args, command: str, name: str, digest: str, checks) -> int:
+    """Write the report where asked, print its summary, return the exit code."""
+    run = report.RunReport(
+        tool="torsod", version=__version__, command=command,
+        input_name=name, input_digest=digest, checks=tuple(checks))
+    elapsed = time.perf_counter() - args._t0
     if args.json:
         with open(args.json, "wb") as fh:
             fh.write(run.to_json_bytes())
     if args.markdown:
         with open(args.markdown, "w", encoding="ascii") as fh:
             fh.write(run.to_markdown() + "\n")
+    print(report.render_stdout(run, elapsed))
+    return 0 if run.ok else 1
 
 
 # ---------------------------------------------------------------------------
@@ -92,7 +84,7 @@ def _write_outputs(args, run: report.RunReport) -> None:
 
 
 def cmd_classify(args) -> int:
-    name, datum, _, digest = _load_datum(args.model)
+    name, _, datum, digest = _load(args.model)
     cls = classify(datum)
     rows = (
         {"kind": cls.kind.value,
@@ -105,30 +97,21 @@ def cmd_classify(args) -> int:
         name="classification", ok=True,
         summary=f"{cls.kind.value}, sigma = {serialize.fraction_str(cls.sigma)}",
         rows=rows)
-    run = report.RunReport(
-        tool="torsod", version=__version__,
-        command=f"classify {name}",
-        input_name=name, input_digest=digest, checks=(check,))
-    return _finish(args, run)
+    return _finish(args, f"classify {name}", name, digest, (check,))
 
 
 # ---------------------------------------------------------------------------
 # sod
 
 
-def _certificate_check(datum, parts: list, max_depth: int) -> report.Check:
-    """Build, verify and free the certificate of each part of the targets in
-    turn, and sum the parts into one row.
+def _certificate_check(datum, parts) -> report.Check:
+    """Verify each certificate part in turn and sum the parts into one row.
 
-    ``parts`` is emptied as it is read, so each part's targets are freed
-    with its certificate.  The violations come part by part, in the order
-    of ``parts``.
+    The violations come part by part, in the order of ``parts``.
     """
     targets = nodes = 0
     violations = []
-    while parts:
-        cert = sod.generation_certificate(datum, parts.pop(0),
-                                          max_depth=max_depth)
+    for cert in parts:
         violations += sod.verify_certificate(datum, cert).violations
         targets += len(cert.targets)
         nodes += len(cert.nodes)
@@ -142,17 +125,16 @@ def _certificate_check(datum, parts: list, max_depth: int) -> report.Check:
 
 
 def cmd_sod(args) -> int:
-    name, datum, _, digest = _load_datum(args.model)
+    name, _, datum, digest = _load(args.model)
     # The generation certificate splits into one closed DAG per root witness
-    # (sod.targets_by_witness), so each part is built, verified and freed
-    # before the next, in ascending witness order: the largest part, not the
-    # whole DAG, bounds the memory.  An over-deep descent is refused while
-    # the targets are split, before any node is built or anything is
-    # enumerated.  The row is built first and still comes last.
+    # (sod.certificate_parts), so each part is built, verified and freed
+    # before the next: the largest part, not the whole DAG, bounds the
+    # memory.  An over-deep descent is refused before any part is built or
+    # anything is enumerated.  The row is built first and still comes last.
     bound = args.box
-    cert_check = _certificate_check(datum, sod.targets_by_witness(
+    cert_check = _certificate_check(datum, sod.certificate_parts(
         datum, product(range(-bound, bound + 1), repeat=datum.n),
-        max_depth=args.max_depth), args.max_depth)
+        args.max_depth))
     checks = []
 
     cls = classify(datum)
@@ -212,11 +194,9 @@ def cmd_sod(args) -> int:
 
     checks.append(cert_check)
 
-    run = report.RunReport(
-        tool="torsod", version=__version__,
-        command=f"sod {name} --box {bound} --max-depth {args.max_depth}",
-        input_name=name, input_digest=digest, checks=tuple(checks))
-    return _finish(args, run)
+    return _finish(
+        args, f"sod {name} --box {bound} --max-depth {args.max_depth}",
+        name, digest, checks)
 
 
 # ---------------------------------------------------------------------------
@@ -245,10 +225,10 @@ def _cross_check_to_check(cc: models.CrossCheck) -> report.Check:
 
 
 def cmd_oracle(args) -> int:
-    name, pair, fan, digest = _load_fan_input(args.model)
+    name, pair, fan, digest = _load(args.model, fans=True)
     bound = args.box
     checks = []
-    if fan is not None:
+    if pair is None:
         if args.verify_sod:
             raise errors.ModelMismatch(
                 "--verify-sod needs a catalog model carrying a generator "
@@ -293,20 +273,10 @@ def cmd_oracle(args) -> int:
     command = f"oracle {name} --box {bound}"
     if args.verify_sod:
         command += " --verify-sod"
-    run = report.RunReport(
-        tool="torsod", version=__version__, command=command,
-        input_name=name, input_digest=digest, checks=tuple(checks))
-    return _finish(args, run)
+    return _finish(args, command, name, digest, checks)
 
 
 # ---------------------------------------------------------------------------
-
-
-def _finish(args, run: report.RunReport) -> int:
-    elapsed = time.perf_counter() - args._t0
-    _write_outputs(args, run)
-    print(report.render_stdout(run, elapsed))
-    return 0 if run.ok else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -339,9 +309,9 @@ def build_parser() -> argparse.ArgumentParser:
                            help="exact enumeration pipeline with certificates")
     common(p_sod)
     box(p_sod, 6)
-    p_sod.add_argument("--max-depth", type=int, default=64,
+    p_sod.add_argument("--max-depth", type=int, default=sod.MAX_DEPTH,
                        help="most Koszul descent steps the generation "
-                            "certificate may take (default 64)")
+                            f"certificate may take (default {sod.MAX_DEPTH})")
     p_sod.set_defaults(func=cmd_sod)
 
     p_oracle = sub.add_parser("oracle",
@@ -367,16 +337,11 @@ def main(argv=None) -> int:
         return 2
     try:
         return args.func(args)
-    except (errors.ValidationError, errors.RequiresExtraction,
-            errors.UnknownExample, errors.DepthExceeded, errors.ModelMismatch,
-            errors.DegenerateDatum) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except errors.TorsodError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 1 if isinstance(exc, errors.OracleBoxError) else 2
     except FileNotFoundError as exc:
-        print(f"error: no such file: {exc}", file=sys.stderr)
+        print(f"error: no such file: {exc.filename or exc}", file=sys.stderr)
         return 3
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,7 +1,8 @@
 """Exception taxonomy for the torsod package.
 
 Validation errors carry enough context (offending index, expected vs actual)
-to be surfaced verbatim by the CLI, which maps them to exit code 2.
+to be surfaced verbatim by the CLI.  The CLI maps every error here to exit
+code 2, except :class:`OracleBoxError`, the only one that exits 1.
 """
 
 

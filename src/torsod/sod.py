@@ -474,6 +474,8 @@ def generator_count_identity(dec: Decomposition):
 # ---------------------------------------------------------------------------
 # Generation certificates
 
+MAX_DEPTH = 64   # default bound on a target's Koszul descent steps
+
 
 @dataclass(frozen=True, slots=True)
 class CertificateNode:
@@ -564,28 +566,32 @@ def _roots(ctx: DatumContext, targets, max_depth: int):
             f"generation recursion exceeded depth {max_depth}")
 
 
-def targets_by_witness(d: ExtractionDatum, targets,
-                       max_depth: int = 64) -> list[list[tuple[int, ...]]]:
-    """The targets split by root witness, in ascending witness order.
+def certificate_parts(d: ExtractionDatum, targets,
+                      max_depth: int = MAX_DEPTH):
+    """Yield the certificate of each root witness's targets, ascending.
 
     Every node of a certificate carries its root's witness: Koszul children
     and block leaves inherit it, and :func:`verify_certificate` checks that
-    they do (CORNER_SET, BLOCK_MISMATCH).  So the certificate of one group is
-    a closed DAG, the groups' certificates are node-disjoint, and together
-    they hold exactly the nodes of the certificate of all the targets.
-    ``targets`` is read once, each group keeps the input order, and an
-    over-deep descent is refused as :func:`generation_certificate` refuses
-    it, before any node is built.
+    they do (CORNER_SET, BLOCK_MISMATCH).  So each part is a closed DAG, the
+    parts are node-disjoint, and together they hold exactly the nodes of the
+    certificate of all the targets.  ``targets`` is read once, at the first
+    ``next()``, where an over-deep descent is refused as
+    :func:`generation_certificate` refuses it, before any part is built.
+    Each part keeps the input order of its targets and is built only when
+    asked for, so a caller that drops each part before the next holds one
+    at a time.
     """
     groups: dict[int, list[tuple[int, ...]]] = {}
     for label, witness, _ in _roots(_extraction_context(d), targets,
                                     max_depth):
         groups.setdefault(witness, []).append(label)
-    return [groups[witness] for witness in sorted(groups)]
+    for witness in sorted(groups):
+        yield generation_certificate(d, groups.pop(witness), max_depth)
 
 
-def generation_certificate(d: ExtractionDatum, targets,
-                           max_depth: int = 64) -> GenerationCertificate:
+def generation_certificate(
+        d: ExtractionDatum, targets,
+        max_depth: int = MAX_DEPTH) -> GenerationCertificate:
     """Build the Koszul descent DAG proving the targets are generated.
 
     Each line-bundle node carries the witness exponent fixing its w inside

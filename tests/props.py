@@ -40,7 +40,7 @@ from torsod.lattice import (
 from torsod.serialize import certificate_from_obj, certificate_to_obj
 from torsod.sod import (BlockLabel, OrthogonalityEntry,
                         _restricted_class_lattice, _vanishes, _window_witness,
-                        block_labels, targets_by_witness)
+                        block_labels, certificate_parts)
 
 
 def mat_mul(a, b):
@@ -609,7 +609,7 @@ def ref_longest_descent(cert):
 
 
 def check_witness_parts(d, targets, whole):
-    """The certificates of the ``targets_by_witness`` parts add up to ``whole``.
+    """The ``certificate_parts`` of ``targets`` add up to ``whole``.
 
     ``whole`` is the certificate of all of ``targets``.  The parts are
     node-disjoint, each part's nodes carry the one witness of its targets,
@@ -617,8 +617,7 @@ def check_witness_parts(d, targets, whole):
     ``whole``, and their targets, put back in input order, are the targets
     of ``whole``.
     """
-    parts = [generation_certificate(d, part)
-             for part in targets_by_witness(d, targets)]
+    parts = list(certificate_parts(d, targets))
     witnesses = []
     for part in parts:
         (witness,) = {node.witness for node in part.nodes}

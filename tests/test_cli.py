@@ -1,12 +1,14 @@
 import gc
 import json
 import tracemalloc
+import weakref
 from dataclasses import replace
 from itertools import product
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 
 import pytest
 
+from torsod import cli, errors
 from torsod.cli import main
 from torsod.serialize import canonical_json_bytes, datum_to_obj, fan_to_obj
 from torsod import (canned_example, canned_fan, lattice, make_datum, oracle,
@@ -49,6 +51,36 @@ def test_unknown_model(capsys):
 def test_missing_file(capsys):
     code, _, err = run(["sod", "/nonexistent/datum.json"], capsys)
     assert code == 3
+
+
+def test_missing_paths_are_named_once(tmp_path, capsys):
+    # A missing input and an output path in a missing directory both exit 3
+    # and name the path once.
+    path = tmp_path / "missing.json"
+    code, _, err = run(["classify", str(path)], capsys)
+    assert (code, err) == (3, f"error: no such file: {path}\n")
+    path = tmp_path / "missing" / "r.json"
+    code, _, err = run(["classify", "a1-half", "--json", str(path)], capsys)
+    assert (code, err) == (3, f"error: no such file: {path}\n")
+
+
+class FreshRefusal(errors.TorsodError):
+    """A refusal that no command raises yet."""
+
+
+@pytest.mark.parametrize(
+    "exc_class",
+    [cls for cls in vars(errors).values() if isinstance(cls, type)
+     and issubclass(cls, errors.TorsodError) and cls is not errors.TorsodError]
+    + [FreshRefusal], ids=attrgetter("__name__"))
+def test_every_refusal_exits_2_but_the_oracle_box(exc_class, capsys,
+                                                  monkeypatch):
+    def refuse(datum):
+        raise exc_class("refused")
+    monkeypatch.setattr(cli, "classify", refuse)
+    code, _, err = run(["classify", "a1-half"], capsys)
+    assert err == "error: refused\n"
+    assert code == (1 if exc_class is errors.OracleBoxError else 2)
 
 
 def test_invalid_json_file(tmp_path, capsys):
@@ -331,6 +363,20 @@ def test_sod_working_set_is_the_largest_witness_part(tmp_path, capsys,
     assert not hasattr(node, "__dict__")
     assert part_peak <= 1.2 * part_retained
     assert peak - start <= 0.9 * retained
+
+
+def test_sod_frees_each_part_before_building_the_next(capsys, monkeypatch):
+    # When a part is built, no earlier part is still referenced.
+    build, parts = sod.generation_certificate, []
+
+    def checking_build(*args, **kwargs):
+        assert all(part() is None for part in parts)
+        cert = build(*args, **kwargs)
+        parts.append(weakref.ref(cert))
+        return cert
+    monkeypatch.setattr(sod, "generation_certificate", checking_build)
+    code, _, _ = run(["sod", "a1-half", "--box", "2"], capsys)
+    assert code == 0 and len(parts) == 3
 
 
 def test_sod_certificate_row_can_fail(tmp_path, capsys, monkeypatch):

@@ -633,6 +633,33 @@ def test_witness_parts_add_up_to_the_certificate(extraction_pairs,
         check_witness_parts(d, targets, generation_certificate(d, targets))
 
 
+def test_certificate_parts_are_built_on_demand(monkeypatch, a1_half):
+    # The targets are read, and an over-deep descent refused, at the first
+    # next(), before any part is built; after that each next() builds
+    # exactly one part, and the end of the parts builds none.
+    build, calls = sod.generation_certificate, []
+
+    def counting_build(*args, **kwargs):
+        calls.append(len(args[1]))
+        return build(*args, **kwargs)
+    monkeypatch.setattr(sod, "generation_certificate", counting_build)
+    deep = make_datum(((1, 0), (0, 1), (1, 1)), (1, 1, -1), (4, 3, 1))
+    parts = sod.certificate_parts(deep, [(-1, 1), (0, 1)], max_depth=1)
+    with pytest.raises(DepthExceeded,
+                       match="generation recursion exceeded depth 1"):
+        next(parts)
+    assert calls == []
+    d = a1_half.datum
+    parts = sod.certificate_parts(d, product(range(-2, 3), repeat=d.n))
+    assert calls == []
+    built = 0
+    for part in parts:
+        built += 1
+        assert len(calls) == built
+        assert len(part.targets) == calls[-1]
+    assert built == 3 and sum(calls) == 25
+
+
 # ---------------------------------------------------------------------------
 # Depth guard
 
