@@ -188,9 +188,21 @@ class DatumContext:
         """Z^alpha modulo L_tau = {(r_i <m, v_i>)_{i <= alpha} : m in M}."""
         return lattice.cokernel(relation_rows(self.datum, self.datum.alpha))
 
+    @cached_property
+    def corners(self) -> tuple[tuple, ...]:
+        """The Koszul corners as (subset, length-n indicator, weight).
+
+        In :func:`koszul_corners` order, the empty corner first; a corner's
+        weight is W of its indicator, the sum of c_i over its subset.
+        """
+        n = self.datum.n
+        return tuple((subset, tuple(int(i in subset) for i in range(n)),
+                      sum(self.c[i] for i in subset))
+                     for subset in koszul_corners(self.datum.alpha))
+
 
 def datum_context(d: ExtractionDatum) -> DatumContext:
-    """Integer weights of ``d``; the transfer lattice is found on first use."""
+    """Integer weights of ``d``; ``tau`` and ``corners`` are built on use."""
     R = lcm(*d.orders)
     c = tuple(a * (R // r) for a, r in zip(d.coefficients, d.orders))
     return DatumContext(datum=d, R=R, c=c, S=sum(c),

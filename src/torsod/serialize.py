@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 from fractions import Fraction
 
 from . import errors, sod
@@ -17,6 +18,7 @@ from .extraction import ExtractionDatum, make_datum
 from .oracle import StackyFan, make_fan
 
 _INT_LIMIT = 1 << 63
+_DECIMAL = re.compile("-?[0-9]+")
 
 
 def encode_int(x: int):
@@ -29,11 +31,15 @@ def decode_int(value, field: str) -> int:
     if isinstance(value, int):
         return value
     if isinstance(value, str):
+        # int() alone would also take other scripts' digits, underscores,
+        # a plus sign and surrounding whitespace.
         try:
-            return int(value, 10)
-        except ValueError:
-            raise errors.SchemaError(
-                f"{field}: {value!r} is not a decimal integer") from None
+            if _DECIMAL.fullmatch(value):
+                return int(value, 10)
+        except ValueError:   # past int()'s digit limit
+            pass
+        raise errors.SchemaError(
+            f"{field}: {value!r} is not a decimal integer")
     raise errors.SchemaError(f"{field}: expected an integer, got {value!r}")
 
 

@@ -39,7 +39,6 @@ from .extraction import (
     MorphismKind,
     classify,
     datum_context,
-    koszul_corners,
     relation_rows,
     validate,
 )
@@ -111,19 +110,17 @@ def spanning_classes(ctx: DatumContext) -> list[SpanningClass]:
         if ctx.W(lift) != 0:
             raise errors.DegenerateDatum("torsion lift has nonzero weighted sum")
 
-    # f * W_free must land in (-S_alpha, 0]
-    if W_free > 0:
-        f_lo, f_hi = -ctx.S_alpha // W_free + 1, 0
-    else:
-        f_lo, f_hi = 0, -(-ctx.S_alpha // -W_free) - 1
+    if W_free < 0:
+        free, W_free = tuple(-x for x in free), -W_free
 
     # f * free + t with t a torsion class is its own canonical representative
-    # (its Smith coordinates are f and residues 0 <= c_i < d_i), and W is
-    # linear and zero on torsion, so its weight is f * W_free.
+    # (its Smith coordinates are +-f and residues 0 <= c_i < d_i), and W is
+    # linear and zero on torsion, so its weight is f * W_free, which must
+    # land in (-S_alpha, 0].
     torsion = group.classes()
     out = [SpanningClass(label=tuple(f * x + y for x, y in zip(free, t)),
                          W=f * W_free)
-           for f in range(f_lo, f_hi + 1) for t in torsion]
+           for f in range(-ctx.S_alpha // W_free + 1, 1) for t in torsion]
     out.sort(key=lambda s: (-s.W, s.label))
     return out
 
@@ -199,9 +196,7 @@ def block_labels(ctx: DatumContext) -> list[BlockLabel]:
     groups: dict[tuple, list[tuple]] = {}
     for rep in group.classes():
         label = preferred.get(rep, rep)
-        W_label = ctx.W(label)
-        witness = _window_witness(ctx, W_label)
-        W = W_label - ctx.C * witness   # in (-S_alpha, -S]
+        witness, W = _window_witness(ctx, ctx.W(label))
         if W > 0:
             groups.setdefault(ctx.tau.reduce(label), []).append(
                 (W, label, witness))
@@ -311,10 +306,8 @@ def fully_faithful_check(dec: Decomposition) -> FaithfulnessReport:
         higher_vanishing=dW > -Sa,
     )
 
-    koszul = []
-    for subset in koszul_corners(ctx.datum.alpha)[1:]:
-        part = sum(ctx.c[i] for i in subset)
-        koszul.append((subset, part, 0 < part < ctx.C))
+    koszul = [(subset, part, 0 < part < ctx.C)
+              for subset, _, part in ctx.corners[1:]]
 
     ok = (head_ok
           and extremal.within_bounds and extremal.higher_vanishing
@@ -399,7 +392,7 @@ def semiorthogonality_check(dec: Decomposition) -> SemiorthogonalityReport:
         (l.W + C * l.label[n]) - (b.W + C * b.witness) - sum_{i in S} c_i,
 
     and the same with a block in place of l for block pairs.  The corner
-    sums are found once per call, and each verdict is that weight mod
+    sums are read from ``ctx.corners``, and each verdict is that weight mod
     M = |a_{n+1}| R != 0 (:func:`_vanishes`).  ``entries`` keeps one compact
     row per entry and builds an :class:`OrthogonalityEntry` only when read;
     ``failures`` holds the uncertified entries, in order.
@@ -407,8 +400,6 @@ def semiorthogonality_check(dec: Decomposition) -> SemiorthogonalityReport:
     ctx = dec.ctx
     d = ctx.datum
     n, C = d.n, ctx.C
-    corners = [(subset, sum(ctx.c[i] for i in subset))
-               for subset in koszul_corners(d.alpha)]
     blocks = [(b, b.W + C * b.witness) for b in dec.blocks]
     rows: list[tuple] = []
 
@@ -425,14 +416,14 @@ def semiorthogonality_check(dec: Decomposition) -> SemiorthogonalityReport:
             if c.W > b.W:
                 rows.extend([("block-block", b.label, c.label, subset,
                               _vanishes(ctx, base - part))
-                             for subset, part in corners])
+                             for subset, _, part in ctx.corners])
             elif c.W == b.W:
                 rows.append(("equal-w", b.label, c.label, (),
                              not ctx.tau.contains(
                                  tuple(map(sub, b.label, c.label)))))
                 rows.extend([("equal-w", b.label, c.label, subset,
                               _vanishes(ctx, base - part))
-                             for subset, part in corners[1:]])
+                             for subset, _, part in ctx.corners[1:]])
 
     entries = _Entries(n, rows)
     failures = tuple(entries._entry(row) for row in rows if not row[-1])
@@ -511,27 +502,20 @@ def _key_pattern(prefix: str, n: int) -> str:
     return prefix + "|" + ",".join(["%d"] * n) + "|%d"
 
 
-def _corner_vectors(n: int, alpha: int) -> list[tuple[int, ...]]:
-    """The length-n indicator vectors of the nonempty Koszul corners.
+def _window_witness(ctx: DatumContext, W_n: int) -> tuple[int, int]:
+    """The witness k and witnessed weight W_n - C k in (-S_alpha, -S].
 
-    A corner child's label is its parent's minus one of these vectors.
-    """
-    return [tuple(int(i in subset) for i in range(n))
-            for subset in koszul_corners(alpha)[1:]]
-
-
-def _window_witness(ctx: DatumContext, W_n: int) -> int:
-    """Unique integer exceptional exponent k with W_n - C k in (-S_alpha, -S].
-
-    ``W_n`` is the weight W(label) of a label without exceptional exponent.
-    The window has length S_alpha - S = C, exactly one exponent stride, so
-    the integer always exists and is unique.
+    ``W_n`` is the weight W(label) of a label without exceptional exponent,
+    and k is the unique integer exceptional exponent putting W_n - C k in
+    the window: it has length S_alpha - S = C, exactly one exponent stride,
+    so k always exists.
     """
     C = ctx.C
     k = -(-(ctx.S + W_n) // C)
-    if not (C * k < ctx.S_alpha + W_n):
+    W = W_n - C * k
+    if not (-ctx.S_alpha < W):
         raise AssertionError("witness window miscomputed")
-    return k
+    return k, W
 
 
 def _roots(ctx: DatumContext, targets, max_depth: int):
@@ -549,15 +533,13 @@ def _roots(ctx: DatumContext, targets, max_depth: int):
     of a refused certificate.
     """
     d = ctx.datum
-    n, C = d.n, ctx.C
+    n = d.n
     W_max = 0
     for target in targets:
         label = tuple(map(index, target))
         if len(label) != n:
             raise ValueError(f"target label must have length {n}")
-        W_label = ctx.W(label)
-        witness = _window_witness(ctx, W_label)
-        W = W_label - C * witness
+        witness, W = _window_witness(ctx, ctx.W(label))
         if W > W_max:
             W_max = W
         yield label, witness, W
@@ -602,18 +584,17 @@ def generation_certificate(
 
     The targets are read once, and the depth bound of :func:`_roots` is
     checked against ``max_depth`` for every target before any node is built.
-    Down the descent a corner's W is its parent's minus the corner sum and
-    its label its parent's minus the corner vector, both found once per
-    call, as are the two key patterns.  Line-bundle nodes are looked up in
-    one label map per witness, and the nodes are sorted by key once, at the
-    end.
+    Down the descent a corner's W is its parent's minus the corner weight
+    and its label its parent's minus the corner vector, both read from
+    ``ctx.corners``; the two key patterns are found once per call.
+    Line-bundle nodes are looked up in one label map per witness, and the
+    nodes are sorted by key once, at the end.
     """
     ctx = _extraction_context(d)
     n = d.n
     roots = list(_roots(ctx, targets, max_depth))
 
-    corners = [(vec, sum(map(mul, ctx.c, vec)))
-               for vec in _corner_vectors(n, d.alpha)]
+    corners = ctx.corners[1:]
     line_fmt, block_fmt = _key_pattern("L", n), _key_pattern("B", n)
     built: list[CertificateNode] = []
     lines: dict[int, dict[tuple[int, ...], CertificateNode]] = {}
@@ -639,7 +620,7 @@ def generation_certificate(
                 if not (W <= -ctx.S):
                     raise AssertionError("koszul node outside its window")
                 kids = [(tuple(map(sub, label, vec)), W - part, None)
-                        for vec, part in corners]
+                        for _, vec, part in corners]
                 stack.append((label, W, kids))
                 stack.extend(kids)
                 continue
@@ -689,8 +670,13 @@ def verify_certificate(d: ExtractionDatum,
     """
     ctx = _extraction_context(d)
     n = d.n
-    corners = _corner_vectors(n, d.alpha)
+    corners = [vec for _, vec, _ in ctx.corners[1:]]
     R, Sa, S = ctx.R, ctx.S_alpha, ctx.S
+    # node kind -> (W window lo < W <= hi, violation code outside it,
+    # leaf name or None for the one inner kind)
+    rules = {"span": (-Sa, 0, "LEAF_WINDOW", "spanning"),
+             "block": (0, -S, "LEAF_WINDOW", "block"),
+             "koszul": (0, -S, "NODE_WINDOW", None)}
     violations: list[tuple[str, str, str]] = []
     node_map: dict[str, CertificateNode] = {}
     for node in cert.nodes:
@@ -707,54 +693,46 @@ def verify_certificate(d: ExtractionDatum,
             violations.append(("W_MISMATCH", node.key,
                                f"recomputed {Fraction(W, R)}, "
                                f"stored {Fraction(node.W, R)}"))
-        if node.kind == "span":
-            if not (-Sa < W <= 0):
-                violations.append(("LEAF_WINDOW", node.key,
-                                   f"w = {Fraction(W, R)}"))
-            if node.children or node.block_key:
-                violations.append(("LEAF_CHILDREN", node.key,
-                                   "spanning leaf has children"))
-        elif node.kind == "block":
-            if not (0 < W <= -S):
-                violations.append(("LEAF_WINDOW", node.key,
-                                   f"w = {Fraction(W, R)}"))
-            if node.children or node.block_key:
-                violations.append(("LEAF_CHILDREN", node.key,
-                                   "block leaf has children"))
-        elif node.kind == "koszul":
-            if not (0 < W <= -S):
-                violations.append(("NODE_WINDOW", node.key,
-                                   f"w = {Fraction(W, R)}"))
-            # The 2^alpha - 1 corners are distinct, so the children are
-            # exactly the corners when they have as many members and the
-            # same set.  A child that is a corner has a smaller sum.
-            expected = {(tuple(map(sub, node.label, vec)), node.witness)
-                        for vec in corners}
-            measure = sum(node.label)
-            got = []
-            for ckey in node.children:
-                child = node_map.get(ckey)
-                if child is None:
-                    violations.append(("MISSING_NODE", node.key,
-                                       f"child {ckey} absent"))
-                    continue
-                item = (child.label, child.witness)
-                got.append(item)
-                if item not in expected and sum(child.label) >= measure:
-                    violations.append(("MEASURE", node.key,
-                                       f"child {ckey} does not decrease"))
-            if not (len(got) == len(expected) and set(got) == expected):
-                violations.append(("CORNER_SET", node.key,
-                                   "children are not the Koszul corners"))
-            block = node_map.get(node.block_key or "")
-            if block is None:
-                violations.append(("MISSING_NODE", node.key, "block leaf absent"))
-            elif (block.kind != "block" or block.label != node.label
-                  or block.witness != node.witness):
-                violations.append(("BLOCK_MISMATCH", node.key,
-                                   "block leaf disagrees with its parent"))
-        else:
+        rule = rules.get(node.kind)
+        if rule is None:
             violations.append(("BAD_KIND", node.key, node.kind))
+            continue
+        lo, hi, code, leaf = rule
+        if not (lo < W <= hi):
+            violations.append((code, node.key, f"w = {Fraction(W, R)}"))
+        if leaf is not None:
+            if node.children or node.block_key:
+                violations.append(("LEAF_CHILDREN", node.key,
+                                   f"{leaf} leaf has children"))
+            continue
+        # The 2^alpha - 1 corners are distinct, so the children are
+        # exactly the corners when they have as many members and the
+        # same set.  A child that is a corner has a smaller sum.
+        expected = {(tuple(map(sub, node.label, vec)), node.witness)
+                    for vec in corners}
+        measure = sum(node.label)
+        got = []
+        for ckey in node.children:
+            child = node_map.get(ckey)
+            if child is None:
+                violations.append(("MISSING_NODE", node.key,
+                                   f"child {ckey} absent"))
+                continue
+            item = (child.label, child.witness)
+            got.append(item)
+            if item not in expected and sum(child.label) >= measure:
+                violations.append(("MEASURE", node.key,
+                                   f"child {ckey} does not decrease"))
+        if not (len(got) == len(expected) and set(got) == expected):
+            violations.append(("CORNER_SET", node.key,
+                               "children are not the Koszul corners"))
+        block = node_map.get(node.block_key or "")
+        if block is None:
+            violations.append(("MISSING_NODE", node.key, "block leaf absent"))
+        elif (block.kind != "block" or block.label != node.label
+              or block.witness != node.witness):
+            violations.append(("BLOCK_MISMATCH", node.key,
+                               "block leaf disagrees with its parent"))
 
     for label, root_key in cert.targets:
         root = node_map.get(root_key)

@@ -464,7 +464,8 @@ def run_weighted_sum_properties(max_examples):
             ctx.W(x + [0])
         label = tuple(y[:d.n])
         W = ctx.W(label)
-        assert _window_witness(ctx, W) == ref_window_witness(d, label)
+        k = ref_window_witness(d, label)
+        assert _window_witness(ctx, W) == (k, ctx.W(label + (k,)))
         assert _vanishes(ctx, W) == ref_vanishes(d, label)
 
     check()

@@ -430,6 +430,29 @@ def test_negative_box_rejected(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("depth", ["0", "-3"])
+def test_nonpositive_max_depth_rejected(tmp_path, capsys, depth):
+    path = tmp_path / "r.json"
+    code, out, err = run(["sod", "a1-half", "--max-depth", depth,
+                          "--json", str(path)], capsys)
+    assert (code, out, err) == (2, "", "error: --max-depth must be positive\n")
+    assert not path.exists()
+
+
+def test_directory_input_is_an_io_error(tmp_path, capsys):
+    code, out, err = run(["classify", str(tmp_path)], capsys)
+    assert (code, out) == (3, "")
+    assert err == f"error: [Errno 21] Is a directory: '{tmp_path}'\n"
+
+
+def test_oracle_unknown_name_lists_models_and_fans(capsys):
+    code, out, err = run(["oracle", "nosuch"], capsys)
+    assert (code, out) == (2, "")
+    assert err == ("error: unknown model or fan 'nosuch'; available models: "
+                   "a1-half, a1-half-crepant, a1-half-line, a2-third, "
+                   "smooth-blowup; fans: p1, p2, stacky-p1\n")
+
+
 def test_classify_takes_no_box(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["classify", "a1-half", "--box", "3"])

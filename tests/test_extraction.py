@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -77,6 +78,21 @@ def test_make_datum_refuses_non_integers():
         make_datum(((1, 0), (1, 2), (1, 1)), (1, 1, -2.5), (2, 2, 1))
     with pytest.raises(TypeError):
         half_datum(orders=(2, 2, Fraction(1)))
+
+
+@pytest.mark.parametrize("rays, coefficients, orders, error, fragment", [
+    (((1,),), (1,), (1,), SchemaError, "datum needs at least two rays"),
+    (((1, 0), (1, 2), (1, 1)), (1, 1), (2, 2, 1), SchemaError,
+     "expected 3 coefficients, got 2"),
+    (((1, 0), (1, 2), (1, 1)), (1, 1, -2), (2, 2), SchemaError,
+     "expected 3 orders, got 2"),
+    (((1, 0), (1, 1), (1, 2)), (-1, 2, -1), (1, 1, 1), SignPattern,
+     "a[0] = -1 must be positive"),
+], ids=["one-ray", "coefficients", "orders", "first-sign"])
+def test_validate_names_each_refusal(rays, coefficients, orders, error,
+                                     fragment):
+    with pytest.raises(error, match=re.escape(fragment)):
+        make_datum(rays, coefficients, orders)
 
 
 def test_validate_independence():

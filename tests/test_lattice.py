@@ -60,6 +60,13 @@ def test_determinant():
         determinant([[1, 2, 3], [4, 5, 6]])
 
 
+@pytest.mark.parametrize("call", [smith_normal_form_full, cokernel,
+                                  integer_kernel])
+def test_smith_form_refuses_a_ragged_matrix(call):
+    with pytest.raises(ValueError, match="ragged matrix"):
+        call([[1, 2], [3]])
+
+
 def _random_matrix(rng, rows, cols, entries=(-3, 3)):
     return [[rng.randint(*entries) for _ in range(cols)] for _ in range(rows)]
 

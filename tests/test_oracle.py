@@ -1,5 +1,6 @@
 import ast
 import random
+import re
 from collections import Counter, defaultdict
 from dataclasses import fields, replace
 from itertools import combinations, product
@@ -264,6 +265,25 @@ def test_validate_fan_rejects_bad_data():
     # ray never used by any cone
     with pytest.raises(SchemaError):
         make_fan(1, ((1,), (-1,)), (1, 1), ((0,),))
+
+
+@pytest.mark.parametrize("rank, rays, orders, cones, error, fragment", [
+    (-1, (), (), ((),), SchemaError, "rank must be nonnegative"),
+    (2, ((1,), (0, 1)), (1, 1), ((0, 1),), SchemaError, "ray[0] has length 1"),
+    (1, ((0,), (1,)), (1, 1), ((1,),), NonPrimitiveRay, "ray[0] is zero"),
+    (0, (), (), (), NonSimplicial, "single empty cone"),
+    (2, ((1, 0), (0, 1)), (1, 1), ((0, 0),), NonSimplicial,
+     "cone (0, 0) repeats a ray"),
+    (1, ((1,), (-1,)), (1, 1), ((0, 1),), NonSimplicial,
+     "cone (0, 1) has too many rays"),
+    (1, ((1,), (-1,)), (1, 1), ((0,), (0,), (1,)), SchemaError,
+     "cone (0,) listed twice"),
+], ids=["rank", "ray-length", "zero-ray", "rank-0-cones", "repeated-ray",
+        "too-many-rays", "listed-twice"])
+def test_validate_fan_names_each_refusal(rank, rays, orders, cones, error,
+                                         fragment):
+    with pytest.raises(error, match=re.escape(fragment)):
+        make_fan(rank, rays, orders, cones)
 
 
 def test_oracle_box_error_on_affine_fan():

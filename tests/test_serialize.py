@@ -1,4 +1,5 @@
 import json
+import re
 from dataclasses import replace
 from fractions import Fraction
 
@@ -36,6 +37,26 @@ def test_int_round_trip_and_bigints():
         decode_int("12.5", "x")
     with pytest.raises(SchemaError):
         decode_int(3.0, "x")
+
+
+@pytest.mark.parametrize("text", ["\u0662", "1_000", " 7", "+7", "7\n"],
+                         ids=["arabic-indic", "underscore", "space", "plus",
+                              "newline"])
+def test_decode_int_takes_ascii_decimal_only(text):
+    with pytest.raises(SchemaError, match=r"^datum\.rays\[1\]\[1\]: "):
+        decode_int(text, "datum.rays[1][1]")
+    obj = {"n": 2, "alpha": 2, "rays": [["1", 0], [1, text], [1, 1]],
+           "a": [1, 1, -2], "r": [2, 2, 1]}
+    with pytest.raises(SchemaError, match=r"^datum\.rays\[1\]\[1\]: "):
+        datum_from_obj(obj)
+
+
+def test_decode_int_round_trips_long_negatives_and_refuses_huge_ones():
+    x = -(10 ** 69 + 12345)
+    assert len(str(x)) == 71 and encode_int(x) == str(x)
+    assert decode_int(encode_int(x), "x") == x
+    with pytest.raises(SchemaError, match="^x: "):
+        decode_int("9" * 5000, "x")
 
 
 def test_fraction_strings():
@@ -118,6 +139,53 @@ def test_certificate_json_refuses_the_rational_w(a1_half):
     del node["W"]
     with pytest.raises(SchemaError, match=r"missing field\(s\) \['W'\]"):
         certificate_from_obj(obj)
+
+
+_DATUM = {"n": 2, "alpha": 2, "rays": [[1, 0], [1, 2], [1, 1]],
+          "a": [1, 1, -2], "r": [2, 2, 1]}
+_NODE = {"key": "L|0,0|0", "label": [0, 0], "witness": 0, "W": 0,
+         "kind": "span", "children": [], "block": None}
+
+
+def _cert(target=None, **node):
+    targets = [] if target is None else [target]
+    return {"targets": targets, "nodes": [{**_NODE, **node}]}
+
+
+@pytest.mark.parametrize("read, obj, fragment", [
+    (datum_from_obj, {**_DATUM, "a": 5}, "datum.a: expected a list"),
+    (datum_from_obj, {**_DATUM, "rays": "v"},
+     "datum.rays: expected a list of vectors"),
+    (fan_from_obj, {"lattice_rank": 1, "rays": {}, "max_cones": []},
+     "fan.rays and fan.max_cones must be lists"),
+    (certificate_from_obj, {"targets": {}, "nodes": []},
+     "certificate.targets/nodes must be lists"),
+    (certificate_from_obj, _cert({"label": [0, 0]}),
+     "certificate.targets[0]: missing field(s) ['root']"),
+    (certificate_from_obj, _cert({"label": [0, 0], "root": 1}),
+     "certificate.targets[0].root: expected a string key"),
+    (certificate_from_obj, _cert({"label": 0, "root": "L|0,0|0"}),
+     "certificate.targets[0].label: expected a list"),
+    (certificate_from_obj, {"targets": [], "nodes": [{"key": "k"}]},
+     "certificate.nodes[0]: missing field(s)"),
+    (certificate_from_obj, _cert(key=1),
+     "certificate.nodes[0]: key and kind must be strings"),
+    (certificate_from_obj, _cert(kind=None),
+     "certificate.nodes[0]: key and kind must be strings"),
+    (certificate_from_obj, _cert(children="L|0,0|0"),
+     "certificate.nodes[0].children: expected string keys"),
+    (certificate_from_obj, _cert(children=[0]),
+     "certificate.nodes[0].children: expected string keys"),
+    (certificate_from_obj, _cert(block=0),
+     "certificate.nodes[0].block: expected a key or null"),
+    (certificate_from_obj, _cert(label=[0, "x"]),
+     "certificate.nodes[0].label[1]: 'x' is not a decimal integer"),
+    (certificate_from_obj, _cert(witness=0.5),
+     "certificate.nodes[0].witness: expected an integer"),
+])
+def test_schema_readers_name_each_refusal(read, obj, fragment):
+    with pytest.raises(SchemaError, match=re.escape(fragment)):
+        read(obj)
 
 
 def test_certificate_json_big_W(a1_half):

@@ -30,6 +30,7 @@ from torsod import (
     verify_certificate,
 )
 from torsod import sod
+from torsod import lattice
 from torsod.errors import DepthExceeded, RequiresExtraction
 from torsod.extraction import DatumContext, datum_context
 
@@ -61,6 +62,25 @@ def test_spanning_labels_are_canonical(extraction_pairs, twist_datum,
         assert spans
         for s in spans:
             assert group.reduce(s.label) == s.label
+
+
+def test_spanning_classes_ignore_the_sign_of_the_free_lift(
+        monkeypatch, extraction_pairs, twist_datum, stress_datum):
+    datums = [pair.datum for pair in extraction_pairs] + [twist_datum,
+                                                          stress_datum]
+
+    def free_weight_signs():
+        return [datum_context(d).W(class_group(d).free_lifts()[0]) > 0
+                for d in datums]
+
+    signs = free_weight_signs()
+    spans = [decompose(d).spans for d in datums]
+    free_lifts = lattice.AbelianGroup.free_lifts
+    monkeypatch.setattr(
+        lattice.AbelianGroup, "free_lifts",
+        lambda group: [tuple(-x for x in lift) for lift in free_lifts(group)])
+    assert free_weight_signs() == [not sign for sign in signs]
+    assert [decompose(d).spans for d in datums] == spans
 
 
 def test_spanning_counts(a2_third, a1_half_line):
@@ -159,6 +179,20 @@ def test_requires_extraction():
     contraction = canned_example("smooth-blowup").datum
     with pytest.raises(RequiresExtraction):
         generation_certificate(contraction, [(0, 0)])
+
+
+@pytest.mark.parametrize("call, fragment", [
+    (lambda d: fiber_transfer_vanishes(datum_context(d), (0, 0, 0)),
+     "local exponent vector must have length 2"),
+    (lambda d: transfer_is_invertible(datum_context(d), (0,)),
+     "local exponent vector must have length 2"),
+    (lambda d: generation_certificate(d, [(0, 0), (0, 0, 0)]),
+     "target label must have length 2"),
+], ids=["fiber_transfer_vanishes", "transfer_is_invertible",
+        "generation_certificate"])
+def test_label_lengths_are_checked(a1_half, call, fragment):
+    with pytest.raises(ValueError, match=fragment):
+        call(a1_half.datum)
 
 
 def test_generation_certificate_refuses_non_integers(a1_half):
