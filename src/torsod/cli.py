@@ -126,15 +126,15 @@ def _certificate_check(datum, parts) -> report.Check:
 
 def cmd_sod(args) -> int:
     name, _, datum, digest = _load(args.model)
-    # The generation certificate splits into one closed DAG per root witness
-    # (sod.certificate_parts), so each part is built, verified and freed
-    # before the next: the largest part, not the whole DAG, bounds the
-    # memory.  An over-deep descent is refused before any part is built or
-    # anything is enumerated.  The row is built first and still comes last.
+    # The generation certificate of the box splits into one closed DAG per
+    # target tail and root witness (sod.certificate_parts), so each part is
+    # built, verified and freed before the next: the largest part, not the
+    # whole DAG, bounds the memory.  An over-deep descent is refused before
+    # any part is built or anything is enumerated.  The row is built first
+    # and still comes last.
     bound = args.box
-    cert_check = _certificate_check(datum, sod.certificate_parts(
-        datum, product(range(-bound, bound + 1), repeat=datum.n),
-        args.max_depth))
+    cert_check = _certificate_check(
+        datum, sod.certificate_parts(datum, bound, args.max_depth))
     checks = []
 
     cls = classify(datum)

@@ -39,8 +39,17 @@ def decode_int(value, field: str) -> int:
         except ValueError:   # past int()'s digit limit
             pass
         raise errors.SchemaError(
-            f"{field}: {value!r} is not a decimal integer")
-    raise errors.SchemaError(f"{field}: expected an integer, got {value!r}")
+            f"{field}: {_shown(value)} is not a decimal integer")
+    raise errors.SchemaError(
+        f"{field}: expected an integer, got {_shown(value)}")
+
+
+def _shown(value, limit: int = 40) -> str:
+    """``repr(value)`` for an error message, cut after ``limit`` characters."""
+    text = repr(value)
+    if len(text) <= limit:
+        return text
+    return f"{text[:limit]}... ({len(text)} characters)"
 
 
 def decode_int_list(value, field: str) -> list[int]:

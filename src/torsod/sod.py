@@ -26,6 +26,7 @@ spanning classes and blocks once, and the checks read its
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
@@ -75,7 +76,12 @@ def _vanishes(ctx: DatumContext, W: int) -> bool:
     The solved exponent -W r_{n+1} / (a_{n+1} R) is an integer multiple of
     r_{n+1} exactly when M = |a_{n+1}| R divides W.
     """
-    return W % (-ctx.datum.coefficients[-1] * ctx.R) != 0
+    return W % _modulus(ctx) != 0
+
+
+def _modulus(ctx: DatumContext) -> int:
+    """M = |a_{n+1}| R, the modulus of the divisibility certificate."""
+    return -ctx.datum.coefficients[-1] * ctx.R
 
 
 @dataclass(frozen=True)
@@ -330,42 +336,135 @@ class OrthogonalityEntry:
 
 
 class _Entries(Sequence):
-    """The orthogonality entries of one report, each built when it is read.
+    """The orthogonality entries of one report, each computed when read.
 
-    A row is ``(kind, source, target, corner, certified)``.  The entry's
-    local label source[:n] - target - 1_corner (labels zero-extended to
-    length n) and its reason are derived from the row on access.
+    The entries come in two runs.  First every spanning class against
+    every block, spans outer.  Then every ordered block pair (b, c) with
+    b is not c and c.W >= b.W, 2^alpha entries each, one per corner of
+    ``ctx.corners``: "block-block" when c.W > b.W, "equal-w" when equal.
+    Only the weight W of each span's and block's local label (l[:n] and
+    the zero-extended b) and the index where each block's pairs start are
+    stored, so an index decodes into its run, pair and corner, and the
+    verdict is computed when the entry is read.
     """
 
-    __slots__ = ("_n", "_rows")
+    __slots__ = ("_ctx", "_spans", "_blocks", "_span_W", "_block_W",
+                 "_starts", "_len")
 
-    def __init__(self, n: int, rows: list[tuple]):
-        self._n = n
-        self._rows = rows
+    def __init__(self, dec: Decomposition):
+        ctx = dec.ctx
+        self._ctx, self._spans, self._blocks = ctx, dec.spans, dec.blocks
+        self._span_W = [ctx.W(l.label[:ctx.datum.n]) for l in dec.spans]
+        self._block_W = [ctx.W(b.label) for b in dec.blocks]
+        self._starts = [0]
+        for i in range(len(dec.blocks)):
+            self._starts.append(self._starts[-1] + len(self._row(i)))
+        self._len = (len(dec.spans) * len(dec.blocks)
+                     + self._starts[-1] * len(ctx.corners))
 
     def __len__(self) -> int:
-        return len(self._rows)
+        return self._len
 
     def __getitem__(self, index):
         if isinstance(index, slice):
-            return tuple(map(self._entry, self._rows[index]))
-        return self._entry(self._rows[index])
+            return tuple(self._read(range(self._len)[index]))
+        return next(self._read((range(self._len)[index],)))
 
     def __iter__(self):
-        return map(self._entry, self._rows)
+        return self._read(range(self._len))
 
-    def _entry(self, row) -> OrthogonalityEntry:
-        kind, source, target, corner, certified = row
-        label = list(source[:self._n]) + [0] * (self._n - len(source))
-        for i, x in enumerate(target):
-            label[i] -= x
-        for i in corner:
-            label[i] -= 1
-        return OrthogonalityEntry(
-            kind=kind, source=source, target=target, corner=corner,
-            label=tuple(label), certified=certified,
-            reason="lattice" if kind == "equal-w" and not corner
-            else "interval")
+    def _row(self, i: int) -> list[int]:
+        """The positions of the blocks that block i is paired with."""
+        b = self._blocks[i]
+        return [j for j, c in enumerate(self._blocks)
+                if c is not b and c.W >= b.W]
+
+    def _read(self, indices):
+        """Yield the entries at ``indices``, in that order.
+
+        A block's row is found again only when the pair run moves to
+        another block, so reading nearby indices scans each row once.
+        """
+        span_run = len(self._spans) * len(self._blocks)
+        i = row = None
+        for index in indices:
+            if index < span_run:
+                yield self._span_entry(*divmod(index, len(self._blocks)))
+                continue
+            pair, s = divmod(index - span_run, len(self._ctx.corners))
+            # the last block whose pairs start at or before this pair; a
+            # block with no pairs shares its start with the next block
+            at = bisect_right(self._starts, pair) - 1
+            if at != i:
+                i, row = at, self._row(at)
+            yield self._pair_entry(i, row[pair - self._starts[i]], s)
+
+    def _span_entry(self, pos: int, j: int) -> OrthogonalityEntry:
+        return _orthogonality_entry(
+            self._ctx.datum.n, "span-block", self._spans[pos].label,
+            self._blocks[j].label, (),
+            _vanishes(self._ctx, self._span_W[pos] - self._block_W[j]))
+
+    def _pair_entry(self, i: int, j: int, s: int) -> OrthogonalityEntry:
+        b, c = self._blocks[i], self._blocks[j]
+        subset, _, part = self._ctx.corners[s]
+        kind = "block-block" if c.W > b.W else "equal-w"
+        if kind == "equal-w" and s == 0:
+            certified = not self._ctx.tau.contains(
+                tuple(map(sub, b.label, c.label)))
+        else:
+            certified = _vanishes(
+                self._ctx, self._block_W[i] - self._block_W[j] - part)
+        return _orthogonality_entry(self._ctx.datum.n, kind, b.label,
+                                    c.label, subset, certified)
+
+    def failures(self):
+        """Yield the uncertified entries, in order.
+
+        A span-block entry fails exactly when its two local weights agree
+        mod M = |a_{n+1}| R, so each span reads the blocks of its residue
+        and no passing span-block entry is visited.  A block pair's interval
+        corners fail where the corner weight agrees with the pair's weight
+        difference mod M, read from a residue table of the corners.
+        """
+        ctx = self._ctx
+        M = _modulus(ctx)
+        blocks_at: dict[int, list[int]] = {}
+        for j, W_b in enumerate(self._block_W):
+            blocks_at.setdefault(W_b % M, []).append(j)
+        for pos, W_l in enumerate(self._span_W):
+            for j in blocks_at.get(W_l % M, ()):
+                yield self._span_entry(pos, j)
+
+        corners_at: dict[int, list[int]] = {}
+        for s, (_, _, part) in enumerate(ctx.corners):
+            corners_at.setdefault(part % M, []).append(s)
+        for i, b in enumerate(self._blocks):
+            for j in self._row(i):
+                c = self._blocks[j]
+                failing = corners_at.get(
+                    (self._block_W[i] - self._block_W[j]) % M, ())
+                if c.W == b.W:
+                    # corner 0 of an equal-w pair is the lattice verdict
+                    if ctx.tau.contains(tuple(map(sub, b.label, c.label))):
+                        yield self._pair_entry(i, j, 0)
+                    failing = [s for s in failing if s]
+                for s in failing:
+                    yield self._pair_entry(i, j, s)
+
+
+def _orthogonality_entry(n: int, kind: str, source, target, corner,
+                         certified: bool) -> OrthogonalityEntry:
+    """The entry with local label source[:n] - target - 1_corner."""
+    label = list(source[:n]) + [0] * (n - len(source))
+    for i, x in enumerate(target):
+        label[i] -= x
+    for i in corner:
+        label[i] -= 1
+    return OrthogonalityEntry(
+        kind=kind, source=source, target=target, corner=corner,
+        label=tuple(label), certified=certified,
+        reason="lattice" if kind == "equal-w" and not corner else "interval")
 
 
 @dataclass(frozen=True)
@@ -384,49 +483,21 @@ def semiorthogonality_check(dec: Decomposition) -> SemiorthogonalityReport:
     strictly between consecutive integers; the remaining equal-w corner uses
     exact non-membership in the transfer lattice.
 
-    Interval verdicts read the integer weights the records already store.
-    W is linear, a spanning class l stores W of its length-(n+1) label and a
-    block b stores its witnessed W = W(b.label) - C * b.witness, so the
-    local label l[:n] - b_ext - 1_S has weight
+    W is linear, so the local label l[:n] - b_ext - 1_S has weight
 
-        (l.W + C * l.label[n]) - (b.W + C * b.witness) - sum_{i in S} c_i,
+        W(l[:n]) - W(b_ext) - sum_{i in S} c_i,
 
-    and the same with a block in place of l for block pairs.  The corner
-    sums are read from ``ctx.corners``, and each verdict is that weight mod
-    M = |a_{n+1}| R != 0 (:func:`_vanishes`).  ``entries`` keeps one compact
-    row per entry and builds an :class:`OrthogonalityEntry` only when read;
-    ``failures`` holds the uncertified entries, in order.
+    and the same with a block in place of l for block pairs.  W is found
+    once per span and block from its label, so the verdicts hold for the
+    labels whatever weights the records store; the corner sums are read
+    from ``ctx.corners``, and each verdict is that weight mod
+    M = |a_{n+1}| R != 0 (:func:`_vanishes`).  ``entries`` stores nothing
+    per entry: it computes an :class:`OrthogonalityEntry` from its index
+    when read.  ``failures`` holds the uncertified entries, in order,
+    found by joining spans and blocks on their weights' residues mod M.
     """
-    ctx = dec.ctx
-    d = ctx.datum
-    n, C = d.n, ctx.C
-    blocks = [(b, b.W + C * b.witness) for b in dec.blocks]
-    rows: list[tuple] = []
-
-    for l in dec.spans:
-        W_l = l.W + C * l.label[n]
-        rows.extend([("span-block", l.label, b.label, (),
-                      _vanishes(ctx, W_l - W_b)) for b, W_b in blocks])
-
-    for b, W_b in blocks:
-        for c, W_c in blocks:
-            if b is c:
-                continue
-            base = W_b - W_c
-            if c.W > b.W:
-                rows.extend([("block-block", b.label, c.label, subset,
-                              _vanishes(ctx, base - part))
-                             for subset, _, part in ctx.corners])
-            elif c.W == b.W:
-                rows.append(("equal-w", b.label, c.label, (),
-                             not ctx.tau.contains(
-                                 tuple(map(sub, b.label, c.label)))))
-                rows.extend([("equal-w", b.label, c.label, subset,
-                              _vanishes(ctx, base - part))
-                             for subset, _, part in ctx.corners[1:]])
-
-    entries = _Entries(n, rows)
-    failures = tuple(entries._entry(row) for row in rows if not row[-1])
+    entries = _Entries(dec)
+    failures = tuple(entries.failures())
     return SemiorthogonalityReport(ok=not failures, entries=entries,
                                    failures=failures)
 
@@ -518,22 +589,30 @@ def _window_witness(ctx: DatumContext, W_n: int) -> tuple[int, int]:
     return k, W
 
 
+def _refuse_depth(ctx: DatumContext, W_max: int, max_depth: int) -> None:
+    """Refuse a descent from a root of witnessed weight ``W_max`` if too deep.
+
+    Every corner lowers W by at least m = min(c_i : i <= alpha), and the
+    corner e_i at that minimum lowers it by exactly m, so the longest descent
+    from a root with W_0 > 0 has exactly ceil(W_0 / m) steps, and none from a
+    span root (W_0 <= 0).
+    """
+    if -(-max(W_max, 0) // min(ctx.c[:ctx.datum.alpha])) > max_depth:
+        raise errors.DepthExceeded(
+            f"generation recursion exceeded depth {max_depth}")
+
+
 def _roots(ctx: DatumContext, targets, max_depth: int):
     """Yield each target as (label, witness, W); refuse an over-deep descent.
 
     ``targets`` may be any iterable of labels and is read once; every entry
     must be an integer (``operator.index``), so a float raises TypeError
-    rather than being truncated.  Each root's W is computed once.
-
-    Every corner lowers W by at least m = min(c_i : i <= alpha), and the
-    corner e_i at that minimum lowers it by exactly m, so the longest descent
-    from a root with W_0 > 0 has exactly ceil(W_0 / m) steps, and none from a
-    span root.  That bound is checked against ``max_depth`` once the last
-    target is read, so a caller that reads every root first builds no node
-    of a refused certificate.
+    rather than being truncated.  Each root's W is computed once.  The depth
+    bound of the largest witnessed W (:func:`_refuse_depth`) is checked once
+    the last target is read, so a caller that reads every root first builds
+    no node of a refused certificate.
     """
-    d = ctx.datum
-    n = d.n
+    n = ctx.datum.n
     W_max = 0
     for target in targets:
         label = tuple(map(index, target))
@@ -543,32 +622,42 @@ def _roots(ctx: DatumContext, targets, max_depth: int):
         if W > W_max:
             W_max = W
         yield label, witness, W
-    if -(-W_max // min(ctx.c[:d.alpha])) > max_depth:
-        raise errors.DepthExceeded(
-            f"generation recursion exceeded depth {max_depth}")
+    _refuse_depth(ctx, W_max, max_depth)
 
 
-def certificate_parts(d: ExtractionDatum, targets,
+def certificate_parts(d: ExtractionDatum, bound: int,
                       max_depth: int = MAX_DEPTH):
-    """Yield the certificate of each root witness's targets, ascending.
+    """Yield the certificate of the box [-bound, bound]^n in closed parts.
 
-    Every node of a certificate carries its root's witness: Koszul children
-    and block leaves inherit it, and :func:`verify_certificate` checks that
-    they do (CORNER_SET, BLOCK_MISMATCH).  So each part is a closed DAG, the
-    parts are node-disjoint, and together they hold exactly the nodes of the
-    certificate of all the targets.  ``targets`` is read once, at the first
-    ``next()``, where an over-deep descent is refused as
-    :func:`generation_certificate` refuses it, before any part is built.
-    Each part keeps the input order of its targets and is built only when
-    asked for, so a caller that drops each part before the next holds one
-    at a time.
+    Koszul corners change only the first alpha exponents (the head), and
+    Koszul children and block leaves inherit their parent's witness, as
+    :func:`verify_certificate` checks (CORNER_SET, BLOCK_MISMATCH).  So
+    every node reached from a target shares the target's tail label[alpha:]
+    and witness: the targets of one (tail, witness) make a closed DAG, the
+    parts are node-disjoint, and together they hold exactly the nodes and
+    targets of :func:`generation_certificate` over the box in ``product``
+    order.  Tails come in ``product`` order and witnesses ascending within
+    a tail; each part keeps the box order of its targets.
+
+    c_i = 0 for alpha < i <= n, so W of a label is W of its head, and one
+    witness per head serves every tail.  At the first ``next()`` the heads'
+    largest witnessed W refuses an over-deep descent as
+    :func:`generation_certificate` would, before any part is built.  Each
+    part is then built only when asked for, and only the current tail's
+    targets are held, so a caller that drops each part before the next
+    holds one part and one tail's targets at a time.
     """
-    groups: dict[int, list[tuple[int, ...]]] = {}
-    for label, witness, _ in _roots(_extraction_context(d), targets,
-                                    max_depth):
-        groups.setdefault(witness, []).append(label)
-    for witness in sorted(groups):
-        yield generation_certificate(d, groups.pop(witness), max_depth)
+    ctx = _extraction_context(d)
+    alpha, side = d.alpha, range(-bound, bound + 1)
+    witnessed = [_window_witness(ctx, sum(map(mul, ctx.c, head)))
+                 for head in product(side, repeat=alpha)]
+    _refuse_depth(ctx, max((W for _, W in witnessed), default=0), max_depth)
+    for tail in product(side, repeat=d.n - alpha):
+        groups: dict[int, list[tuple[int, ...]]] = {}
+        for head, (witness, _) in zip(product(side, repeat=alpha), witnessed):
+            groups.setdefault(witness, []).append(head + tail)
+        for witness in sorted(groups):
+            yield generation_certificate(d, groups.pop(witness), max_depth)
 
 
 def generation_certificate(

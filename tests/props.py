@@ -609,32 +609,40 @@ def ref_longest_descent(cert):
     return max(height.values(), default=0)
 
 
-def check_witness_parts(d, targets, whole):
-    """The ``certificate_parts`` of ``targets`` add up to ``whole``.
+def check_witness_parts(d, bound):
+    """The ``certificate_parts`` of the box [-bound, bound]^n add up to its
+    certificate.
 
-    ``whole`` is the certificate of all of ``targets``.  The parts are
-    node-disjoint, each part's nodes carry the one witness of its targets,
-    ascending from part to part, their nodes together are the nodes of
-    ``whole``, and their targets, put back in input order, are the targets
-    of ``whole``.
+    The parts are node-disjoint; each part's nodes and targets carry one
+    tail label[alpha:] and one witness, the tails in ``product`` order and
+    the witnesses ascending within a tail; their nodes together are the
+    nodes of the certificate of the box, and their targets, each part's in
+    box order, are exactly its targets.  Returns that certificate.
     """
-    parts = list(certificate_parts(d, targets))
-    witnesses = []
+    side = range(-bound, bound + 1)
+    box = list(product(side, repeat=d.n))
+    whole = generation_certificate(d, box)
+    parts = list(certificate_parts(d, bound))
+    tails = list(product(side, repeat=d.n - d.alpha))
+    keys = []
     for part in parts:
-        (witness,) = {node.witness for node in part.nodes}
-        assert {part.node_map()[key].witness
-                for _, key in part.targets} == {witness}
-        witnesses.append(witness)
-    assert witnesses == sorted(set(witnesses))
+        (key,) = {(node.label[d.alpha:], node.witness) for node in part.nodes}
+        roots = part.node_map()
+        assert {(label[d.alpha:], roots[root].witness)
+                for label, root in part.targets} == {key}
+        keys.append(key)
+    assert keys == sorted(set(keys),
+                          key=lambda key: (tails.index(key[0]), key[1]))
     nodes = [node for part in parts for node in part.nodes]
     assert len({node.key for node in nodes}) == len(nodes)
     assert tuple(sorted(nodes, key=attrgetter("key"))) == whole.nodes
-    part_of = {label: pos for pos, part in enumerate(parts)
-               for label, _ in part.targets}
-    rest = [iter(part.targets) for part in parts]
-    assert sum(len(part.targets) for part in parts) == len(whole.targets)
-    assert tuple(next(rest[part_of[tuple(target)]])
-                 for target in targets) == whole.targets
+    position = {label: pos for pos, label in enumerate(box)}
+    for part in parts:
+        assert [position[label] for label, _ in part.targets] == sorted(
+            position[label] for label, _ in part.targets)
+    assert sorted((target for part in parts for target in part.targets),
+                  key=lambda target: position[target[0]]) == list(whole.targets)
+    return whole
 
 
 def _tamper(rng, cert):
@@ -667,7 +675,8 @@ def run_certificate_roundtrip_properties(max_examples):
     one: their witnessed W is positive, so every such root is a Koszul node
     and the descent reaches the block's own node.  The depth guard refuses
     exactly the certificates whose longest descent exceeds it, and a
-    tampered certificate that verifies has no cycle.
+    tampered certificate that verifies has no cycle.  The certificate of a
+    drawn box [-B, B]^n, B <= 2, adds up from its ``certificate_parts``.
     """
 
     catalog = [canned_example(name).datum
@@ -695,7 +704,8 @@ def run_certificate_roundtrip_properties(max_examples):
                 alias = data.draw(st.sampled_from(b.aliases))
                 targets.append(extend_block_label(d, alias))
         cert = generation_certificate(d, targets)
-        check_witness_parts(d, targets, cert)
+        check_witness_parts(d, data.draw(st.integers(min_value=0,
+                                                     max_value=2)))
         roots = cert.node_map()
         assert all(roots[key].kind == "koszul"
                    for _, key in cert.targets[count:])

@@ -59,6 +59,18 @@ def test_decode_int_round_trips_long_negatives_and_refuses_huge_ones():
         decode_int("9" * 5000, "x")
 
 
+@pytest.mark.parametrize("value", ["9" * 5000, list(range(2000))],
+                         ids=["5000-digit-string", "2000-entry-list"])
+def test_decode_int_message_stays_short(value):
+    # The CLI prints the message to stderr, so it echoes only the head of a
+    # long value, and still names the field.
+    with pytest.raises(SchemaError) as info:
+        decode_int(value, "datum.rays[1][1]")
+    message = str(info.value)
+    assert message.startswith("datum.rays[1][1]: ")
+    assert len(message) < 200
+
+
 def test_fraction_strings():
     assert fraction_str(Fraction(-1, 2)) == "-1/2"
     assert fraction_str(Fraction(3)) == "3"

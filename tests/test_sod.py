@@ -1,4 +1,7 @@
+import gc
+import random
 import sys
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 from itertools import product
@@ -30,6 +33,7 @@ from torsod import (
     verify_certificate,
 )
 from torsod import sod
+from test_oracle_gate import TABLE as FALSE_CLAIMS
 from torsod import lattice
 from torsod.errors import DepthExceeded, RequiresExtraction
 from torsod.extraction import DatumContext, datum_context
@@ -309,6 +313,28 @@ def test_semiorthogonality_uses_lattice_reason(twist_datum):
     assert all(e.kind == "equal-w" for e in lattice_entries)
 
 
+def _shifted_neighbours(dec):
+    """``dec`` with the +-1 neighbours of its first spans and a shifted block.
+
+    The block's label moves by e_0 and comes with its window witness and
+    with one stride off it, to reach block pairs that no window-valid block
+    can fail.
+    """
+    d = dec.ctx.datum
+    for c in dec.spans[:6]:
+        for i in range(d.n + 1):
+            for step in (-1, 1):
+                dec = _inject(dec, c.label[:i] + (c.label[i] + step,)
+                              + c.label[i + 1:])
+    b = dec.blocks[0]
+    label = (b.label[0] + 1,) + b.label[1:]
+    ext = extend_block_label(d, label)
+    k = ref_window_witness(d, ext)
+    shifted = tuple(BlockLabel(label=label, witness=j,
+                               W=ref_W(d, ext + (j,))) for j in (k, k + 1))
+    return replace(dec, blocks=dec.blocks + shifted)
+
+
 def test_semiorthogonality_verdicts_on_a_failing_decomposition():
     # Neighbours of spanning classes and shifted blocks break the
     # decomposition, so verdicts of both signs come from every weight term;
@@ -317,20 +343,7 @@ def test_semiorthogonality_verdicts_on_a_failing_decomposition():
         dec = decompose(d)
         assert dec.ctx.C * d.orders[-1] == -d.coefficients[-1] * dec.ctx.R
         assert dec.ctx.C != -d.coefficients[-1] * dec.ctx.R
-        for c in dec.spans[:6]:
-            for i in range(d.n + 1):
-                for step in (-1, 1):
-                    dec = _inject(dec, c.label[:i] + (c.label[i] + step,)
-                                  + c.label[i + 1:])
-        b = dec.blocks[0]
-        label = (b.label[0] + 1,) + b.label[1:]
-        ext = extend_block_label(d, label)
-        k = ref_window_witness(d, ext)
-        # the window witness, and one stride off it to reach block pairs
-        # that no window-valid block can fail
-        shifted = tuple(BlockLabel(label=label, witness=j,
-                                   W=ref_W(d, ext + (j,))) for j in (k, k + 1))
-        dec = replace(dec, blocks=dec.blocks + shifted)
+        dec = _shifted_neighbours(dec)
 
         report = semiorthogonality_check(dec)
         expected = {}
@@ -346,26 +359,83 @@ def test_semiorthogonality_verdicts_on_a_failing_decomposition():
             "span-block", "block-block", "equal-w"}
 
 
+def _check_entries(dec, rng):
+    """The entries and failures of ``dec`` against the eager reference.
+
+    Reads every entry in order, a seeded sample of indices (negative ones
+    too, and the first and last index of each kind), and slices with steps
+    +-1 and +-7.  Returns the kinds of the failing entries.
+    """
+    report = semiorthogonality_check(dec)
+    entries, expected = report.entries, ref_semiorthogonality_entries(dec)
+    size = len(expected)
+    assert len(entries) == size
+    assert list(entries) == expected
+    kinds = [e.kind for e in expected]
+    ends = [i for kind in set(kinds)
+            for i in (kinds.index(kind), size - 1 - kinds[::-1].index(kind))]
+    sample = rng.sample(range(size), min(size, 40))
+    for i in ends + sample + [i - size for i in ends + sample]:
+        assert entries[i] == expected[i]
+    for step in (1, -1, 7, -7):
+        assert entries[::step] == tuple(expected[::step])
+        start, stop = rng.randrange(-size, size), rng.randrange(-size, size)
+        assert entries[start:stop:step] == tuple(expected[start:stop:step])
+    for i in (size, -size - 1):
+        with pytest.raises(IndexError):
+            entries[i]
+    assert report.failures == tuple(e for e in entries if not e.certified)
+    assert report.ok == (not report.failures)
+    return {e.kind for e in report.failures}
+
+
 def test_lazy_entries_equal_the_eager_reference(extraction_pairs,
                                                 twist_datum, stress_datum):
-    datums = [pair.datum for pair in extraction_pairs]
-    for d in datums + [twist_datum, stress_datum, *R2_DATUMS]:
+    # The honest decompositions certify every entry; the tampered ones
+    # (the oracle gate's false claims, reversed blocks, a block object
+    # listed twice, the +-1 neighbours) fail in every kind of entry.
+    # Stress and the N = 10 scaling datum are read honest only, to keep the
+    # reference's 53,352 and 71,280 entries to one pass each.
+    rng = random.Random(34)
+    small = [pair.datum for pair in extraction_pairs] + [twist_datum,
+                                                         *R2_DATUMS]
+    scaling = make_datum(((1, 0), (1, 2), (1, 1)), (1, 1, -2), (10, 10, 1))
+    tampered = []
+    for d in small + [stress_datum, scaling]:
         dec = decompose(d)
-        report = semiorthogonality_check(dec)
-        expected = ref_semiorthogonality_entries(dec)
-        assert list(report.entries) == expected
-        assert len(report.entries) == len(expected)
-        assert report.ok and report.failures == ()
+        assert _check_entries(dec, rng) == set()
+        if d in small:
+            tampered += [replace(dec, blocks=dec.blocks[::-1]),
+                         replace(dec, blocks=dec.blocks + dec.blocks[:1])]
+    for pair in extraction_pairs:
+        dec = decompose(pair.datum)
+        tampered += [claim(dec) for claim, _, _ in FALSE_CLAIMS.values()
+                     if claim is not None]
+    tampered += [_shifted_neighbours(decompose(d)) for d in R2_DATUMS]
+    failing = set()
+    for dec in tampered:
+        failing |= _check_entries(dec, rng)
+    assert failing == {"span-block", "block-block", "equal-w"}
+    assert len(semiorthogonality_check(decompose(stress_datum)).entries) \
+        == 53352
 
-    entries = report.entries    # the last datum's
-    assert entries[::-7] == tuple(expected[::-7])
-    stress = semiorthogonality_check(decompose(stress_datum)).entries
-    expected = ref_semiorthogonality_entries(decompose(stress_datum))
-    assert len(stress) == 53352
-    assert stress[-1] == expected[-1] and stress[-53352] == expected[0]
-    assert stress[40820:40830] == tuple(expected[40820:40830])
-    with pytest.raises(IndexError):
-        stress[53352]
+
+def test_semiorthogonality_stores_nothing_per_entry():
+    # The N = 10 scaling datum has 71,280 entries; stored as one row each
+    # they traced 6.07 MB.  Computed by index, with the failures joined on
+    # residues, the check traces under 0.5 MB.
+    dec = decompose(make_datum(((1, 0), (1, 2), (1, 1)), (1, 1, -2),
+                               (10, 10, 1)))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        report = semiorthogonality_check(dec)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert report.ok and len(report.entries) == 71280
+    assert peak < 500_000
 
 
 def test_semiorthogonality_builds_no_entry_until_read(monkeypatch,
@@ -663,28 +733,34 @@ def test_witness_parts_add_up_to_the_certificate(extraction_pairs,
                                                  twist_datum, stress_datum):
     for d in [pair.datum for pair in extraction_pairs] + [twist_datum,
                                                           stress_datum]:
-        targets = list(product(range(-2, 3), repeat=d.n))
-        check_witness_parts(d, targets, generation_certificate(d, targets))
+        for bound in (0, 2):
+            check_witness_parts(d, bound)
 
 
-def test_certificate_parts_are_built_on_demand(monkeypatch, a1_half):
-    # The targets are read, and an over-deep descent refused, at the first
-    # next(), before any part is built; after that each next() builds
-    # exactly one part, and the end of the parts builds none.
+def _counting_builds(monkeypatch):
+    """Patch ``sod.generation_certificate`` to log each part's target count."""
     build, calls = sod.generation_certificate, []
 
     def counting_build(*args, **kwargs):
         calls.append(len(args[1]))
         return build(*args, **kwargs)
     monkeypatch.setattr(sod, "generation_certificate", counting_build)
+    return calls
+
+
+def test_certificate_parts_are_built_on_demand(monkeypatch, a1_half):
+    # The box is scanned, and an over-deep descent refused, at the first
+    # next(), before any part is built; after that each next() builds
+    # exactly one part, and the end of the parts builds none.
+    calls = _counting_builds(monkeypatch)
     deep = make_datum(((1, 0), (0, 1), (1, 1)), (1, 1, -1), (4, 3, 1))
-    parts = sod.certificate_parts(deep, [(-1, 1), (0, 1)], max_depth=1)
+    parts = sod.certificate_parts(deep, 1, max_depth=1)
     with pytest.raises(DepthExceeded,
                        match="generation recursion exceeded depth 1"):
         next(parts)
     assert calls == []
     d = a1_half.datum
-    parts = sod.certificate_parts(d, product(range(-2, 3), repeat=d.n))
+    parts = sod.certificate_parts(d, 2)
     assert calls == []
     built = 0
     for part in parts:
@@ -692,6 +768,38 @@ def test_certificate_parts_are_built_on_demand(monkeypatch, a1_half):
         assert len(calls) == built
         assert len(part.targets) == calls[-1]
     assert built == 3 and sum(calls) == 25
+
+
+def test_certificate_parts_refuse_exactly_as_the_whole_box(
+        monkeypatch, extraction_pairs, twist_datum, stress_datum):
+    # certificate_parts refuses at its first next(), with nothing built,
+    # exactly when generation_certificate over the same box refuses.
+    calls = _counting_builds(monkeypatch)
+    datums = [pair.datum for pair in extraction_pairs] + [
+        twist_datum, stress_datum,
+        make_datum(((1, 0), (0, 1), (1, 1)), (1, 1, -1), (4, 3, 1)),
+        make_datum(((1, 0), (1, 2), (1, 1)), (1, 1, -2), (10, 10, 1))]
+    verdicts = set()
+    for d in datums:
+        for bound in range(4):
+            box = list(product(range(-bound, bound + 1), repeat=d.n))
+            for max_depth in range(1, 9):
+                try:
+                    generation_certificate(d, box, max_depth)
+                    refused = False
+                except DepthExceeded:
+                    refused = True
+                parts = sod.certificate_parts(d, bound, max_depth)
+                del calls[:]
+                if refused:
+                    with pytest.raises(DepthExceeded):
+                        next(parts)
+                    assert calls == []
+                else:
+                    next(parts)
+                    assert len(calls) == 1
+                verdicts.add(refused)
+    assert verdicts == {True, False}
 
 
 # ---------------------------------------------------------------------------
