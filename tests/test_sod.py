@@ -15,6 +15,7 @@ from props import (check_witness_parts, ref_W, ref_block_groups,
                    ref_vanishes, ref_window_witness,
                    run_block_group_properties, solved_exceptional_exponent,
                    weighted_sum)
+from test_oracle_gate import TABLE as FALSE_CLAIMS
 from torsod import (
     BlockLabel,
     GenerationCertificate,
@@ -33,7 +34,6 @@ from torsod import (
     verify_certificate,
 )
 from torsod import sod
-from test_oracle_gate import TABLE as FALSE_CLAIMS
 from torsod import lattice
 from torsod.errors import DepthExceeded, RequiresExtraction
 from torsod.extraction import DatumContext, datum_context
