@@ -211,7 +211,8 @@ def load_json(path: str):
         data = fh.read()
     try:
         return json.loads(data), data
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except ValueError as exc:
+        # JSONDecodeError, UnicodeDecodeError and the int-string digit limit
         raise errors.SchemaError(f"{path}: invalid JSON ({exc})") from None
     except RecursionError:
         raise errors.SchemaError(f"{path}: JSON nested too deeply") from None

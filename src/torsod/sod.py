@@ -26,8 +26,9 @@ spanning classes and blocks once, and the checks read its
 
 from __future__ import annotations
 
-from bisect import bisect_right
-from collections.abc import Sequence
+from bisect import bisect_left
+from collections import Counter
+from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -62,9 +63,11 @@ def fiber_transfer_vanishes(ctx: DatumContext, k_local) -> bool:
     The transfer can only be nonzero when the solved exceptional exponent is
     an integer multiple of r_{n+1}.  True means certified vanishing; False
     means no certificate from this test (the sharper lattice membership test
-    is :func:`transfer_is_invertible`).
+    is :func:`transfer_is_invertible`).  Every entry of ``k_local`` must be
+    an integer (``operator.index``), so a float raises TypeError.
     """
     n = ctx.datum.n
+    k_local = tuple(map(index, k_local))
     if len(k_local) != n:
         raise ValueError(f"local exponent vector must have length {n}")
     return _vanishes(ctx, ctx.W(k_local))
@@ -236,9 +239,11 @@ def transfer_is_invertible(ctx: DatumContext, k_local) -> bool:
 
     Invertible exactly when the first-alpha part is congruent to a monomial
     twist, i.e. lies in L_tau; the exponents past alpha do not interfere with
-    the criterion because their divisors miss the fiber locus.
+    the criterion because their divisors miss the fiber locus.  Every entry
+    of ``k_local`` must be an integer (``operator.index``).
     """
     d = ctx.datum
+    k_local = tuple(map(index, k_local))
     if len(k_local) != d.n:
         raise ValueError(f"local exponent vector must have length {d.n}")
     return ctx.tau.contains(k_local[:d.alpha])
@@ -335,69 +340,51 @@ class OrthogonalityEntry:
     reason: str                    # "interval" | "lattice"
 
 
-class _Entries(Sequence):
-    """The orthogonality entries of one report, each computed when read.
+class _Entries:
+    """The orthogonality entries of one report, each computed when iterated.
 
     The entries come in two runs.  First every spanning class against
     every block, spans outer.  Then every ordered block pair (b, c) with
-    b is not c and c.W >= b.W, 2^alpha entries each, one per corner of
-    ``ctx.corners``: "block-block" when c.W > b.W, "equal-w" when equal.
-    Only the weight W of each span's and block's local label (l[:n] and
-    the zero-extended b) and the index where each block's pairs start are
-    stored, so an index decodes into its run, pair and corner, and the
-    verdict is computed when the entry is read.
+    b is not c and c.W >= b.W (:meth:`_pairs`), 2^alpha entries each, one
+    per corner of ``ctx.corners``: "block-block" when c.W > b.W, "equal-w"
+    when equal.  Only the weight W of each span's and block's local label
+    (l[:n] and the zero-extended b) is stored; each verdict is computed as
+    its entry is yielded, so the entries can be iterated again.  The length
+    is counted on the sorted stored weights, with no pass over the pairs.
     """
 
-    __slots__ = ("_ctx", "_spans", "_blocks", "_span_W", "_block_W",
-                 "_starts", "_len")
+    __slots__ = ("_ctx", "_spans", "_blocks", "_span_W", "_block_W", "_len")
 
     def __init__(self, dec: Decomposition):
         ctx = dec.ctx
         self._ctx, self._spans, self._blocks = ctx, dec.spans, dec.blocks
         self._span_W = [ctx.W(l.label[:ctx.datum.n]) for l in dec.spans]
         self._block_W = [ctx.W(b.label) for b in dec.blocks]
-        self._starts = [0]
-        for i in range(len(dec.blocks)):
-            self._starts.append(self._starts[-1] + len(self._row(i)))
+        stored_W = sorted(b.W for b in dec.blocks)
+        # b pairs with every block of W >= b.W but the positions holding b
+        seen = Counter(map(id, dec.blocks))
+        pairs = sum(len(stored_W) - bisect_left(stored_W, b.W) - seen[id(b)]
+                    for b in dec.blocks)
         self._len = (len(dec.spans) * len(dec.blocks)
-                     + self._starts[-1] * len(ctx.corners))
+                     + pairs * len(ctx.corners))
 
     def __len__(self) -> int:
         return self._len
 
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return tuple(self._read(range(self._len)[index]))
-        return next(self._read((range(self._len)[index],)))
-
     def __iter__(self):
-        return self._read(range(self._len))
+        for pos, j in product(range(len(self._spans)),
+                              range(len(self._blocks))):
+            yield self._span_entry(pos, j)
+        for i, j in self._pairs():
+            for s in range(len(self._ctx.corners)):
+                yield self._pair_entry(i, j, s)
 
-    def _row(self, i: int) -> list[int]:
-        """The positions of the blocks that block i is paired with."""
-        b = self._blocks[i]
-        return [j for j, c in enumerate(self._blocks)
-                if c is not b and c.W >= b.W]
-
-    def _read(self, indices):
-        """Yield the entries at ``indices``, in that order.
-
-        A block's row is found again only when the pair run moves to
-        another block, so reading nearby indices scans each row once.
-        """
-        span_run = len(self._spans) * len(self._blocks)
-        i = row = None
-        for index in indices:
-            if index < span_run:
-                yield self._span_entry(*divmod(index, len(self._blocks)))
-                continue
-            pair, s = divmod(index - span_run, len(self._ctx.corners))
-            # the last block whose pairs start at or before this pair; a
-            # block with no pairs shares its start with the next block
-            at = bisect_right(self._starts, pair) - 1
-            if at != i:
-                i, row = at, self._row(at)
-            yield self._pair_entry(i, row[pair - self._starts[i]], s)
+    def _pairs(self):
+        """Yield the positions (i, j) of the ordered block pairs, in order."""
+        for i, b in enumerate(self._blocks):
+            for j, c in enumerate(self._blocks):
+                if c is not b and c.W >= b.W:
+                    yield i, j
 
     def _span_entry(self, pos: int, j: int) -> OrthogonalityEntry:
         return _orthogonality_entry(
@@ -439,18 +426,17 @@ class _Entries(Sequence):
         corners_at: dict[int, list[int]] = {}
         for s, (_, _, part) in enumerate(ctx.corners):
             corners_at.setdefault(part % M, []).append(s)
-        for i, b in enumerate(self._blocks):
-            for j in self._row(i):
-                c = self._blocks[j]
-                failing = corners_at.get(
-                    (self._block_W[i] - self._block_W[j]) % M, ())
-                if c.W == b.W:
-                    # corner 0 of an equal-w pair is the lattice verdict
-                    if ctx.tau.contains(tuple(map(sub, b.label, c.label))):
-                        yield self._pair_entry(i, j, 0)
-                    failing = [s for s in failing if s]
-                for s in failing:
-                    yield self._pair_entry(i, j, s)
+        for i, j in self._pairs():
+            b, c = self._blocks[i], self._blocks[j]
+            failing = corners_at.get(
+                (self._block_W[i] - self._block_W[j]) % M, ())
+            if c.W == b.W:
+                # corner 0 of an equal-w pair is the lattice verdict
+                if ctx.tau.contains(tuple(map(sub, b.label, c.label))):
+                    yield self._pair_entry(i, j, 0)
+                failing = [s for s in failing if s]
+            for s in failing:
+                yield self._pair_entry(i, j, s)
 
 
 def _orthogonality_entry(n: int, kind: str, source, target, corner,
@@ -470,7 +456,7 @@ def _orthogonality_entry(n: int, kind: str, source, target, corner,
 @dataclass(frozen=True)
 class SemiorthogonalityReport:
     ok: bool
-    entries: Sequence[OrthogonalityEntry]       # built on access
+    entries: Iterable[OrthogonalityEntry]       # sized; built as iterated
     failures: tuple[OrthogonalityEntry, ...]    # the uncertified entries
 
 
@@ -492,9 +478,10 @@ def semiorthogonality_check(dec: Decomposition) -> SemiorthogonalityReport:
     labels whatever weights the records store; the corner sums are read
     from ``ctx.corners``, and each verdict is that weight mod
     M = |a_{n+1}| R != 0 (:func:`_vanishes`).  ``entries`` stores nothing
-    per entry: it computes an :class:`OrthogonalityEntry` from its index
-    when read.  ``failures`` holds the uncertified entries, in order,
-    found by joining spans and blocks on their weights' residues mod M.
+    per entry: it has a length and can be iterated again, and it computes
+    each :class:`OrthogonalityEntry` as it is yielded.  ``failures`` holds
+    the uncertified entries, in order, found by joining spans and blocks on
+    their weights' residues mod M.
     """
     entries = _Entries(dec)
     failures = tuple(entries.failures())
@@ -645,8 +632,11 @@ def certificate_parts(d: ExtractionDatum, bound: int,
     :func:`generation_certificate` would, before any part is built.  Each
     part is then built only when asked for, and only the current tail's
     targets are held, so a caller that drops each part before the next
-    holds one part and one tail's targets at a time.
+    holds one part and one tail's targets at a time.  A negative bound
+    would yield no part and raises ValueError at the first ``next()``.
     """
+    if bound < 0:
+        raise ValueError(f"bound must be nonnegative, got {bound}")
     ctx = _extraction_context(d)
     alpha, side = d.alpha, range(-bound, bound + 1)
     witnessed = [_window_witness(ctx, sum(map(mul, ctx.c, head)))

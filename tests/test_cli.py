@@ -99,6 +99,22 @@ def test_invalid_utf8_file(tmp_path, capsys):
     assert "invalid JSON" in err and str(bad) in err
 
 
+def test_integer_past_the_digit_limit_is_invalid_json(tmp_path, capsys):
+    # json.loads refuses an integer literal past the int-string digit limit
+    # (4,300 digits) with a plain ValueError, not a JSONDecodeError.
+    obj = datum_to_obj(canned_example("a1-half").datum)
+    obj["r"][0] = "ORDER"
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(obj).replace('"ORDER"', "9" * 5000))
+    report = tmp_path / "report.json"
+    code, out, err = run(["sod", str(path), "--box", "1",
+                          "--json", str(report)], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {path}: invalid JSON (")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not report.exists()
+
+
 def test_classify_datum_file(tmp_path, capsys):
     obj = datum_to_obj(canned_example("a2-third").datum)
     path = tmp_path / "datum.json"
