@@ -97,7 +97,6 @@ from .sod import (
     block_labels,
     class_group,
     decompose,
-    extend_block_label,
     fiber_transfer_vanishes,
     fully_faithful_check,
     generation_certificate,

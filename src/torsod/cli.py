@@ -104,21 +104,33 @@ def cmd_classify(args) -> int:
 # sod
 
 
-def _certificate_check(datum, parts) -> report.Check:
-    """Verify each certificate part in turn and sum the parts into one row.
+def _certificate_check(datum, bound: int, max_depth: int) -> report.Check:
+    """Verify the generation certificate of the box [-bound, bound]^n.
 
-    The violations come part by part, in the order of ``parts``.
+    Only the tail-zero DAG of the box's heads is built and verified, one
+    witness part at a time (sod.certificate_parts); every tail's DAG is its
+    translate, which verifies exactly when it does.  So the counts are the
+    parts' times the number of tails, and a failing part is translated to
+    each tail and verified there: its violations come once per tail, in
+    (tail, witness) order, with the tail in their keys and labels.
     """
+    side, width = range(-bound, bound + 1), datum.n - datum.alpha
+    tails = len(side) ** width
     targets = nodes = 0
-    violations = []
-    for cert in parts:
-        violations += sod.verify_certificate(datum, cert).violations
+    failing = []
+    for cert in sod.certificate_parts(datum, bound, max_depth):
+        if not sod.verify_certificate(datum, cert).ok:
+            failing.append(cert)
         targets += len(cert.targets)
         nodes += len(cert.nodes)
         del cert   # free this part before the next one is built
+    violations = [
+        violation for tail in product(side, repeat=width) for cert in failing
+        for violation in sod.verify_certificate(
+            datum, sod.translate_certificate(datum, cert, tail)).violations]
     return report.Check(
         name="generation-certificate", ok=not violations,
-        summary=f"{targets} targets, {nodes} nodes, "
+        summary=f"{targets * tails} targets, {nodes * tails} nodes, "
                 f"{len(violations)} violations",
         rows=tuple({"code": code, "node": key, "detail": detail}
                    for code, key, detail in violations))
@@ -126,15 +138,14 @@ def _certificate_check(datum, parts) -> report.Check:
 
 def cmd_sod(args) -> int:
     name, _, datum, digest = _load(args.model)
-    # The generation certificate of the box splits into one closed DAG per
-    # target tail and root witness (sod.certificate_parts), so each part is
-    # built, verified and freed before the next: the largest part, not the
-    # whole DAG, bounds the memory.  An over-deep descent is refused before
-    # any part is built or anything is enumerated.  The row is built first
-    # and still comes last.
+    # The generation certificate is built over the box's heads, its labels
+    # with the tail zero, one witness part at a time, and each part is
+    # verified and freed before the next (sod.certificate_parts): every
+    # other tail's DAG is a translate of it.  An over-deep descent is
+    # refused before any part is built or anything is enumerated.  The row
+    # is built first and still comes last.
     bound = args.box
-    cert_check = _certificate_check(
-        datum, sod.certificate_parts(datum, bound, args.max_depth))
+    cert_check = _certificate_check(datum, bound, args.max_depth)
     checks = []
 
     cls = classify(datum)
@@ -255,9 +266,7 @@ def cmd_oracle(args) -> int:
                 models.semiorthogonality_oracle_check(pair, dec, fiber)))
             checks.append(_cross_check_to_check(
                 models.transfer_dichotomy_check(pair, dec, bound, fiber)))
-            targets = [sod.extend_block_label(datum, head)
-                       for head in product(range(-bound, bound + 1),
-                                           repeat=datum.alpha)]
+            targets = sod.box_heads(datum, bound)
             cert = sod.generation_certificate(datum, targets)
             verdict = sod.verify_certificate(datum, cert)
             replay = models.koszul_replay_check(pair, cert, fiber)

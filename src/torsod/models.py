@@ -262,9 +262,13 @@ def block_euler_characteristic(pair: ModelPair, fiber: FiberModel,
 @dataclass(frozen=True)
 class CrossCheck:
     name: str
-    ok: bool
     total: int
     failures: tuple[str, ...]
+
+    @property
+    def ok(self) -> bool:
+        """No failure among at least one comparison: none passes vacuously."""
+        return self.total > 0 and not self.failures
 
 
 def _koszul_corner_sum(pair: ModelPair, label) -> int:
@@ -295,7 +299,7 @@ def koszul_replay_check(pair: ModelPair, cert: sod.GenerationCertificate,
         rhs = block_euler_characteristic(pair, fiber, node.label)
         if lhs != rhs:
             failures.append(f"{node.key}: corner sum {lhs} != block chi {rhs}")
-    return CrossCheck(name="koszul-replay", ok=not failures, total=total,
+    return CrossCheck(name="koszul-replay", total=total,
                       failures=tuple(failures))
 
 
@@ -318,8 +322,8 @@ def fully_faithful_oracle_check(pair: ModelPair,
             total += 1
             if hx != hy:
                 failures.append(f"delta {delta}: source {hx} != target {hy}")
-    return CrossCheck(name="fully-faithful-oracle", ok=not failures,
-                      total=total, failures=tuple(failures))
+    return CrossCheck(name="fully-faithful-oracle", total=total,
+                      failures=tuple(failures))
 
 
 def semiorthogonality_oracle_check(pair: ModelPair, dec: sod.Decomposition,
@@ -367,8 +371,8 @@ def semiorthogonality_oracle_check(pair: ModelPair, dec: sod.Decomposition,
         if not nonzero and dims != expected:
             failures.append(
                 f"block {b.label}: self-Hom dims {dims} != {expected}")
-    return CrossCheck(name="semiorthogonality-oracle", ok=not failures,
-                      total=total, failures=tuple(failures))
+    return CrossCheck(name="semiorthogonality-oracle", total=total,
+                      failures=tuple(failures))
 
 
 def transfer_dichotomy_check(pair: ModelPair, dec: sod.Decomposition,
@@ -408,13 +412,12 @@ def transfer_dichotomy_check(pair: ModelPair, dec: sod.Decomposition,
             failures.append(
                 f"label {label}: lattice test {invertible} disagrees with "
                 f"oracle chi {expected}")
-    return CrossCheck(name="transfer-dichotomy", ok=not failures, total=total,
+    return CrossCheck(name="transfer-dichotomy", total=total,
                       failures=tuple(failures))
 
 
 def count_identity_check(dec: sod.Decomposition) -> CrossCheck:
     """Local generator bookkeeping: |Cl| = #spanning + #blocks * |Cl_fiber|."""
     lhs, rhs, parts = sod.generator_count_identity(dec)
-    ok = lhs == rhs
-    failure = () if ok else (f"lhs {lhs} != rhs {rhs} ({parts})",)
-    return CrossCheck(name="count-identity", ok=ok, total=1, failures=failure)
+    failure = () if lhs == rhs else (f"lhs {lhs} != rhs {rhs} ({parts})",)
+    return CrossCheck(name="count-identity", total=1, failures=failure)

@@ -32,7 +32,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from operator import attrgetter, index, mul, sub
+from operator import add, attrgetter, index, mul, sub
 
 from . import errors, lattice
 from .extraction import (
@@ -227,11 +227,6 @@ def block_labels(ctx: DatumContext) -> list[BlockLabel]:
                                  aliases=tuple(lab for _, lab, _ in g[1:])))
     blocks.sort(key=lambda b: (b.W, b.label))
     return blocks
-
-
-def extend_block_label(d: ExtractionDatum, label) -> tuple[int, ...]:
-    """Zero-extend a length-alpha block label to all n local exponents."""
-    return tuple(label) + (0,) * (d.n - d.alpha)
 
 
 def transfer_is_invertible(ctx: DatumContext, k_local) -> bool:
@@ -612,42 +607,98 @@ def _roots(ctx: DatumContext, targets, max_depth: int):
     _refuse_depth(ctx, W_max, max_depth)
 
 
-def certificate_parts(d: ExtractionDatum, bound: int,
-                      max_depth: int = MAX_DEPTH):
-    """Yield the certificate of the box [-bound, bound]^n in closed parts.
+def box_heads(d: ExtractionDatum, bound: int) -> list[tuple[int, ...]]:
+    """The heads of the box [-bound, bound]^n: its labels with the tail zero.
 
-    Koszul corners change only the first alpha exponents (the head), and
-    Koszul children and block leaves inherit their parent's witness, as
-    :func:`verify_certificate` checks (CORNER_SET, BLOCK_MISMATCH).  So
-    every node reached from a target shares the target's tail label[alpha:]
-    and witness: the targets of one (tail, witness) make a closed DAG, the
-    parts are node-disjoint, and together they hold exactly the nodes and
-    targets of :func:`generation_certificate` over the box in ``product``
-    order.  Tails come in ``product`` order and witnesses ascending within
-    a tail; each part keeps the box order of its targets.
-
-    c_i = 0 for alpha < i <= n, so W of a label is W of its head, and one
-    witness per head serves every tail.  At the first ``next()`` the heads'
-    largest witnessed W refuses an over-deep descent as
-    :func:`generation_certificate` would, before any part is built.  Each
-    part is then built only when asked for, and only the current tail's
-    targets are held, so a caller that drops each part before the next
-    holds one part and one tail's targets at a time.  A negative bound
-    would yield no part and raises ValueError at the first ``next()``.
+    A head is a box label whose exponents past alpha are zero, so it is the
+    zero extension of a length-alpha label of [-bound, bound]^alpha; the
+    heads come in ``product`` order.  A negative bound raises ValueError.
     """
     if bound < 0:
         raise ValueError(f"bound must be nonnegative, got {bound}")
+    zero = (0,) * (d.n - d.alpha)
+    return [head + zero
+            for head in product(range(-bound, bound + 1), repeat=d.alpha)]
+
+
+def certificate_parts(d: ExtractionDatum, bound: int,
+                      max_depth: int = MAX_DEPTH):
+    """Yield the certificate of the heads of [-bound, bound]^n by witness.
+
+    The heads are :func:`box_heads`; the targets of one witness make one
+    part, witnesses ascending, each part keeping the box order of its
+    targets.  Koszul children and block leaves inherit their parent's
+    witness, as :func:`verify_certificate` checks (CORNER_SET,
+    BLOCK_MISMATCH), so the parts are closed, node-disjoint DAGs and
+    together hold exactly the nodes and targets of
+    :func:`generation_certificate` over the heads.
+
+    The certificate of the whole box is these parts translated to each
+    tail t in [-bound, bound]^(n - alpha) (:func:`translate_certificate`).
+    Lemma: every rule of :func:`verify_certificate` is invariant under
+    adding (0, ..., 0, t) to every label of a DAG, with the tail filled
+    into its keys.  c_i = 0 for alpha < i <= n, so W of a label is W of its
+    head and the W and window rules do not change; Koszul corners and block
+    leaves move only the head, so corner sets and block keys shift together;
+    and the coordinate-sum measure shifts by the constant sum(t).  So the
+    generation DAG of a target with tail t is the tail-zero DAG of its head
+    with t put in, node for node: a head part that verifies verifies at
+    every tail, and the box has |heads| * |tails| targets and |tails| times
+    the head nodes.
+
+    At the first ``next()`` the heads' largest witnessed W refuses an
+    over-deep descent as :func:`generation_certificate` would over the box,
+    before any part is built; each part is then built only when asked for,
+    so a caller that drops each part before the next holds one at a time.
+    A negative bound raises ValueError at the first ``next()``.
+    """
     ctx = _extraction_context(d)
-    alpha, side = d.alpha, range(-bound, bound + 1)
-    witnessed = [_window_witness(ctx, sum(map(mul, ctx.c, head)))
-                 for head in product(side, repeat=alpha)]
-    _refuse_depth(ctx, max((W for _, W in witnessed), default=0), max_depth)
-    for tail in product(side, repeat=d.n - alpha):
-        groups: dict[int, list[tuple[int, ...]]] = {}
-        for head, (witness, _) in zip(product(side, repeat=alpha), witnessed):
-            groups.setdefault(witness, []).append(head + tail)
-        for witness in sorted(groups):
-            yield generation_certificate(d, groups.pop(witness), max_depth)
+    groups: dict[int, list[tuple[int, ...]]] = {}
+    for head, witness, _ in _roots(ctx, box_heads(d, bound), max_depth):
+        groups.setdefault(witness, []).append(head)
+    for witness in sorted(groups):
+        yield generation_certificate(d, groups.pop(witness), max_depth)
+
+
+def translate_certificate(d: ExtractionDatum, cert: GenerationCertificate,
+                          tail) -> GenerationCertificate:
+    """``cert`` with ``tail`` added to label[alpha:] of every label and key.
+
+    The target labels, node labels, node keys, child keys and block keys
+    all move, so a tail-zero part of :func:`certificate_parts` becomes the
+    part of the same witness at ``tail``.  A key not of the builder's form
+    names no label and is kept as it is.
+    """
+    alpha, tail = d.alpha, tuple(tail)
+
+    def label_at(label):
+        if len(label) != d.n:
+            return label   # a BAD_LABEL node stays as it is
+        return tuple(label[:alpha]) + tuple(map(add, label[alpha:], tail))
+
+    moved: dict[str, str] = {}   # each key is parsed once
+
+    def key_at(key):
+        if key not in moved:
+            try:
+                prefix, entries, witness = key.split("|")
+                label = tuple(map(int, entries.split(",")))
+            except ValueError:
+                moved[key] = key
+            else:
+                moved[key] = "|".join(
+                    (prefix, ",".join(map(str, label_at(label))), witness))
+        return moved[key]
+
+    return GenerationCertificate(
+        targets=tuple((label_at(label), key_at(key))
+                      for label, key in cert.targets),
+        nodes=tuple(CertificateNode(
+            key=key_at(node.key), label=label_at(node.label),
+            witness=node.witness, W=node.W, kind=node.kind,
+            children=tuple(map(key_at, node.children)),
+            block_key=node.block_key and key_at(node.block_key))
+            for node in cert.nodes))
 
 
 def generation_certificate(

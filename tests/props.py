@@ -18,13 +18,13 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from torsod import (
     GenerationCertificate,
     canned_example,
-    extend_block_label,
     generation_certificate,
     make_datum,
     sigma,
     sigma_alpha,
     verify_certificate,
 )
+from torsod import report, sod
 from torsod.errors import DepthExceeded
 from torsod.extraction import datum_context, koszul_corners
 from torsod.lattice import (
@@ -39,8 +39,10 @@ from torsod.lattice import (
 )
 from torsod.serialize import certificate_from_obj, certificate_to_obj
 from torsod.sod import (BlockLabel, OrthogonalityEntry,
+                        _extraction_context, _refuse_depth,
                         _restricted_class_lattice, _vanishes, _window_witness,
-                        block_labels, certificate_parts)
+                        block_labels, box_heads, certificate_parts,
+                        translate_certificate)
 
 
 def mat_mul(a, b):
@@ -377,6 +379,11 @@ def ref_vanishes(d, k_local):
     return not (e.denominator == 1 and e.numerator % d.orders[-1] == 0)
 
 
+def zero_extended(d, label):
+    """A length-alpha label with zeros appended up to length n."""
+    return tuple(label) + (0,) * (d.n - d.alpha)
+
+
 def ref_semiorthogonality_entries(dec):
     """Reference for ``semiorthogonality_check``: the eager entry list.
 
@@ -387,7 +394,7 @@ def ref_semiorthogonality_entries(dec):
     d = ctx.datum
     alpha = d.alpha
     corners = koszul_corners(alpha)
-    blocks = [(b, extend_block_label(d, b.label)) for b in dec.blocks]
+    blocks = [(b, zero_extended(d, b.label)) for b in dec.blocks]
 
     def shifted(label, subset):
         return tuple(x - (i in subset) for i, x in enumerate(label))
@@ -609,39 +616,83 @@ def ref_longest_descent(cert):
     return max(height.values(), default=0)
 
 
-def check_witness_parts(d, bound):
-    """The ``certificate_parts`` of the box [-bound, bound]^n add up to its
-    certificate.
+def ref_certificate_parts(d, bound, max_depth=sod.MAX_DEPTH):
+    """Reference for the certificate of the box [-bound, bound]^n in parts.
 
-    The parts are node-disjoint; each part's nodes and targets carry one
-    tail label[alpha:] and one witness, the tails in ``product`` order and
-    the witnesses ascending within a tail; their nodes together are the
-    nodes of the certificate of the box, and their targets, each part's in
-    box order, are exactly its targets.  Returns that certificate.
+    One closed DAG per (tail, witness), built from the box's own targets by
+    ``sod.generation_certificate`` (looked up at call time, so a patched
+    builder is used): tails in ``product`` order, witnesses ascending within
+    a tail, each part's targets in box order.  An over-deep descent is
+    refused at the first ``next()``, before any part is built.
     """
-    side = range(-bound, bound + 1)
+    if bound < 0:
+        raise ValueError(f"bound must be nonnegative, got {bound}")
+    ctx = _extraction_context(d)
+    alpha, side = d.alpha, range(-bound, bound + 1)
+    witnessed = [_window_witness(ctx, ctx.W(zero_extended(d, head)))
+                 for head in product(side, repeat=alpha)]
+    _refuse_depth(ctx, max((W for _, W in witnessed), default=0), max_depth)
+    for tail in product(side, repeat=d.n - alpha):
+        groups = {}
+        for head, (witness, _) in zip(product(side, repeat=alpha), witnessed):
+            groups.setdefault(witness, []).append(head + tail)
+        for witness in sorted(groups):
+            yield sod.generation_certificate(d, groups.pop(witness), max_depth)
+
+
+def ref_certificate_check(datum, bound, max_depth):
+    """Reference for ``cli._certificate_check``: verify every (tail,
+    witness) part of :func:`ref_certificate_parts` and sum them into the
+    ``generation-certificate`` row, violations part by part."""
+    targets = nodes = 0
+    violations = []
+    for cert in ref_certificate_parts(datum, bound, max_depth):
+        violations += verify_certificate(datum, cert).violations
+        targets += len(cert.targets)
+        nodes += len(cert.nodes)
+    return report.Check(
+        name="generation-certificate", ok=not violations,
+        summary=f"{targets} targets, {nodes} nodes, "
+                f"{len(violations)} violations",
+        rows=tuple({"code": code, "node": key, "detail": detail}
+                   for code, key, detail in violations))
+
+
+def check_witness_parts(d, bound):
+    """The ``certificate_parts`` of the box [-bound, bound]^n, translated to
+    every tail, add up to its certificate.
+
+    The parts cover ``box_heads``, one witness each, ascending.  The
+    translation lemma, node by node: the reference part of each (tail,
+    witness), built from the tail's own targets, is the tail-zero part of
+    its witness with the tail put in by ``translate_certificate``, target
+    for target and node for node (node equality compares the key, label,
+    witness, W, kind, children and block key).  The reference parts
+    together are the certificate of the box, so the parts are
+    node-disjoint and each keeps the box order of its targets.  Returns
+    that certificate.
+    """
+    alpha, side = d.alpha, range(-bound, bound + 1)
+    assert box_heads(d, bound) == [zero_extended(d, head)
+                                   for head in product(side, repeat=alpha)]
+    parts = list(certificate_parts(d, bound))
+    witnesses = [{node.witness for node in part.nodes} for part in parts]
+    assert witnesses == [{w} for w in sorted(set().union(*witnesses))]
+
+    refs = list(ref_certificate_parts(d, bound))
+    tails = list(product(side, repeat=d.n - alpha))
+    assert len(refs) == len(tails) * len(parts)
+    for ref, (tail, part) in zip(refs, product(tails, parts)):
+        assert translate_certificate(d, part, tail) == ref
+
     box = list(product(side, repeat=d.n))
     whole = generation_certificate(d, box)
-    parts = list(certificate_parts(d, bound))
-    tails = list(product(side, repeat=d.n - d.alpha))
-    keys = []
-    for part in parts:
-        (key,) = {(node.label[d.alpha:], node.witness) for node in part.nodes}
-        roots = part.node_map()
-        assert {(label[d.alpha:], roots[root].witness)
-                for label, root in part.targets} == {key}
-        keys.append(key)
-    assert keys == sorted(set(keys),
-                          key=lambda key: (tails.index(key[0]), key[1]))
-    nodes = [node for part in parts for node in part.nodes]
-    assert len({node.key for node in nodes}) == len(nodes)
+    nodes = [node for ref in refs for node in ref.nodes]
     assert tuple(sorted(nodes, key=attrgetter("key"))) == whole.nodes
     position = {label: pos for pos, label in enumerate(box)}
-    for part in parts:
-        assert [position[label] for label, _ in part.targets] == sorted(
-            position[label] for label, _ in part.targets)
-    assert sorted((target for part in parts for target in part.targets),
-                  key=lambda target: position[target[0]]) == list(whole.targets)
+    assert sorted((target for ref in refs for target in ref.targets),
+                  key=lambda target: position[target[0]]) == list(
+                      whole.targets)
     return whole
 
 
@@ -676,7 +727,8 @@ def run_certificate_roundtrip_properties(max_examples):
     and the descent reaches the block's own node.  The depth guard refuses
     exactly the certificates whose longest descent exceeds it, and a
     tampered certificate that verifies has no cycle.  The certificate of a
-    drawn box [-B, B]^n, B <= 2, adds up from its ``certificate_parts``.
+    drawn box [-B, B]^n, B <= 2, adds up from its ``certificate_parts``
+    translated to every tail (the lemma, node by node).
     """
 
     catalog = [canned_example(name).datum
@@ -699,10 +751,10 @@ def run_certificate_roundtrip_properties(max_examples):
         drawn = data.draw(st.lists(st.sampled_from(blocks), min_size=1,
                                    max_size=3)) if blocks else []
         for b in drawn:
-            targets.append(extend_block_label(d, b.label))
+            targets.append(zero_extended(d, b.label))
             if b.aliases:
                 alias = data.draw(st.sampled_from(b.aliases))
-                targets.append(extend_block_label(d, alias))
+                targets.append(zero_extended(d, alias))
         cert = generation_certificate(d, targets)
         check_witness_parts(d, data.draw(st.integers(min_value=0,
                                                      max_value=2)))

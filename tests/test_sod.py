@@ -13,16 +13,16 @@ from props import (check_witness_parts, ref_W, ref_block_groups,
                    ref_semiorthogonality_entries, ref_sigma, ref_sigma_alpha,
                    ref_vanishes, ref_window_witness,
                    run_block_group_properties, solved_exceptional_exponent,
-                   weighted_sum)
+                   weighted_sum, zero_extended)
 from test_oracle_gate import TABLE as FALSE_CLAIMS
 from torsod import (
     BlockLabel,
+    CertificateNode,
     GenerationCertificate,
     SpanningClass,
     canned_example,
     class_group,
     decompose,
-    extend_block_label,
     fiber_transfer_vanishes,
     fully_faithful_check,
     generation_certificate,
@@ -249,8 +249,10 @@ def test_exceptional_lattice_order(a1_half):
     assert not tau.contains((1, 3))
 
 
-def test_extend_block_label(a1_half_line):
-    assert extend_block_label(a1_half_line.datum, (0, 1)) == (0, 1, 0)
+def test_box_heads_are_the_zero_extended_head_box(a1_half_line):
+    heads = sod.box_heads(a1_half_line.datum, 1)
+    assert heads == [(x, y, 0) for x in (-1, 0, 1) for y in (-1, 0, 1)]
+    assert (0, 1, 0) in heads
 
 
 def test_fully_faithful_check(extraction_pairs):
@@ -335,7 +337,7 @@ def _shifted_neighbours(dec):
                               + c.label[i + 1:])
     b = dec.blocks[0]
     label = (b.label[0] + 1,) + b.label[1:]
-    ext = extend_block_label(d, label)
+    ext = zero_extended(d, label)
     k = ref_window_witness(d, ext)
     shifted = tuple(BlockLabel(label=label, witness=j,
                                W=ref_W(d, ext + (j,))) for j in (k, k + 1))
@@ -749,7 +751,25 @@ def _counting_builds(monkeypatch):
     return calls
 
 
-def test_certificate_parts_are_built_on_demand(monkeypatch, a1_half):
+def test_translate_keeps_what_names_no_label(a1_half_line):
+    # A key that is not of the builder's form and a label of the wrong
+    # length name no tail, so they stay as they are; the translate then
+    # fails exactly the rules the tail-zero certificate fails, at its keys.
+    d = a1_half_line.datum
+    cert = generation_certificate(d, [(1, 1, 0)])
+    odd = CertificateNode(key="odd", label=(1, 1), witness=0, W=0,
+                          kind="span", children=("L|x|0",))
+    bad = tamper(cert, nodes=cert.nodes + (odd,))
+    moved = sod.translate_certificate(d, bad, (2,))
+    assert moved.nodes == sod.translate_certificate(d, cert, (2,)).nodes + (
+        odd,)
+    assert moved.targets == (((1, 1, 2), "L|1,1,2|0"),)
+    assert [v[0] for v in verify_certificate(d, moved).violations] == [
+        v[0] for v in verify_certificate(d, bad).violations]
+
+
+def test_certificate_parts_are_built_on_demand(monkeypatch, a1_half,
+                                                 a1_half_line):
     # The box is scanned, and an over-deep descent refused, at the first
     # next(), before any part is built; after that each next() builds
     # exactly one part, and the end of the parts builds none.
@@ -760,15 +780,18 @@ def test_certificate_parts_are_built_on_demand(monkeypatch, a1_half):
                        match="generation recursion exceeded depth 1"):
         next(parts)
     assert calls == []
-    d = a1_half.datum
-    parts = sod.certificate_parts(d, 2)
-    assert calls == []
-    built = 0
-    for part in parts:
-        built += 1
-        assert len(calls) == built
-        assert len(part.targets) == calls[-1]
-    assert built == 3 and sum(calls) == 25
+    # Only the box's 25 heads are built, also where a1-half-line's tail
+    # has 5 values.
+    for pair in (a1_half, a1_half_line):
+        del calls[:]
+        parts = sod.certificate_parts(pair.datum, 2)
+        assert calls == []
+        built = 0
+        for part in parts:
+            built += 1
+            assert len(calls) == built
+            assert len(part.targets) == calls[-1]
+        assert built == 3 and sum(calls) == 25
 
 
 def test_certificate_parts_refuse_exactly_as_the_whole_box(
