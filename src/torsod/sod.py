@@ -625,32 +625,26 @@ def certificate_parts(d: ExtractionDatum, bound: int,
                       max_depth: int = MAX_DEPTH):
     """Yield the certificate of the heads of [-bound, bound]^n by witness.
 
-    The heads are :func:`box_heads`; the targets of one witness make one
-    part, witnesses ascending, each part keeping the box order of its
-    targets.  Koszul children and block leaves inherit their parent's
-    witness, as :func:`verify_certificate` checks (CORNER_SET,
-    BLOCK_MISMATCH), so the parts are closed, node-disjoint DAGs and
-    together hold exactly the nodes and targets of
-    :func:`generation_certificate` over the heads.
+    The targets are :func:`box_heads`, one part per witness, ascending, each
+    in box order.  Koszul children and block leaves inherit their parent's
+    witness (CORNER_SET, BLOCK_MISMATCH), so the parts are closed,
+    node-disjoint DAGs that together are :func:`generation_certificate`
+    over the heads.
 
-    The certificate of the whole box is these parts translated to each
-    tail t in [-bound, bound]^(n - alpha) (:func:`translate_certificate`).
     Lemma: every rule of :func:`verify_certificate` is invariant under
-    adding (0, ..., 0, t) to every label of a DAG, with the tail filled
-    into its keys.  c_i = 0 for alpha < i <= n, so W of a label is W of its
-    head and the W and window rules do not change; Koszul corners and block
-    leaves move only the head, so corner sets and block keys shift together;
-    and the coordinate-sum measure shifts by the constant sum(t).  So the
-    generation DAG of a target with tail t is the tail-zero DAG of its head
-    with t put in, node for node: a head part that verifies verifies at
-    every tail, and the box has |heads| * |tails| targets and |tails| times
-    the head nodes.
+    adding (0, ..., 0, t) to every label of a DAG and filling t into its
+    keys.  c_i = 0 for alpha < i <= n, so W and the windows do not change;
+    Koszul corners and block leaves move only the head, so corner sets and
+    block keys shift together; and the measure sum(label) shifts by the
+    constant sum(t).  So the DAG of the box's targets with tail t is the
+    heads' DAG with t put in, node for node (:func:`translate_certificate`):
+    a part that verifies verifies at every tail, and the box has |tails|
+    times the heads' targets and nodes.
 
     At the first ``next()`` the heads' largest witnessed W refuses an
     over-deep descent as :func:`generation_certificate` would over the box,
-    before any part is built; each part is then built only when asked for,
-    so a caller that drops each part before the next holds one at a time.
-    A negative bound raises ValueError at the first ``next()``.
+    before any part is built; then each ``next()`` builds one part.  A
+    negative bound raises ValueError at the first ``next()``.
     """
     ctx = _extraction_context(d)
     groups: dict[int, list[tuple[int, ...]]] = {}
