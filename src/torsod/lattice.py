@@ -8,9 +8,10 @@ auditability and bit-stable determinism over asymptotic cleverness.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from math import gcd
-from operator import mul
+from operator import add, mod, mul
 
 Matrix = list[list[int]]
 Vector = tuple[int, ...]
@@ -312,8 +313,19 @@ class AbelianGroup:
     _v: tuple[Vector, ...]
     _diag: tuple[int, ...]  # nonzero diagonal, including leading 1s
 
+    def __post_init__(self):
+        # The rows of U that class keys read, torsion rows first, and the
+        # torsion rows' invariant factors; the rows of a unit diagonal entry,
+        # always zero modulo 1, are left out.  Attributes, not fields, so
+        # equality and repr do not see them.
+        torsion = [i for i, di in enumerate(self._diag) if di != 1]
+        object.__setattr__(self, "_key_rows", tuple(
+            [self._u[i] for i in torsion] + list(self._u[len(self._diag):])))
+        object.__setattr__(self, "_moduli",
+                           tuple(self._diag[i] for i in torsion))
+
     def _coords(self, vec) -> list[int]:
-        """Smith coordinates y = U vec; every class read starts here."""
+        """Smith coordinates y = U vec, read by reduce and preimage."""
         if len(vec) != self.ambient_rank:
             raise ValueError("vector has wrong length for this group")
         return mat_vec(self._u, vec)
@@ -329,13 +341,33 @@ class AbelianGroup:
         """A tuple that two vectors share exactly when their classes agree.
 
         The Smith coordinates y = U vec: each torsion one modulo its invariant
-        factor, each free one as it is, and the always-zero ones of a unit
-        diagonal entry dropped.  Unlike :meth:`reduce` it does not map y back
-        through U^-1, so it is a key, not a representative.
+        factor, then each free one as it is; the always-zero ones of a unit
+        diagonal entry are never computed.  Unlike :meth:`reduce` it does not
+        map y back through U^-1, so it is a key, not a representative.
         """
-        diag = self._diag + (0,) * self.free_rank
-        return tuple(y % di if di else y
-                     for y, di in zip(self._coords(vec), diag) if di != 1)
+        if len(vec) != self.ambient_rank:
+            raise ValueError("vector has wrong length for this group")
+        return self._key([sum(map(mul, row, vec)) for row in self._key_rows])
+
+    def box_class_keys(self, bound: int) -> Iterator[Vector]:
+        """:meth:`class_key` of every label of the box [-bound, bound]^ambient.
+
+        Lazily, in the order of ``product(range(-bound, bound + 1),
+        repeat=ambient_rank)``.  The unreduced key of a label is the sum of
+        one U column per coordinate, scaled by that coordinate, so each
+        level of the product adds one scaled column to the partial sums of
+        the level before, and only the finished sums are reduced modulo
+        the invariant factors.
+        """
+        sums = iter([(0,) * len(self._key_rows)])
+        for j in range(self.ambient_rank):
+            sums = _add_each(sums, [tuple(x * row[j] for row in self._key_rows)
+                                    for x in range(-bound, bound + 1)])
+        return map(self._key, sums)
+
+    def _key(self, y) -> Vector:
+        """The class key of the key rows' coordinates y: torsion reduced."""
+        return (*map(mod, y, self._moduli), *y[len(self._moduli):])
 
     def preimage(self, vec) -> Vector | None:
         """One integer x with mat @ x == vec, or None if there is none.
@@ -382,6 +414,13 @@ class AbelianGroup:
             out = [tuple(x + c * y for x, y in zip(v, lift))
                    for v in out for c in range(order)]
         return out
+
+
+def _add_each(sums, columns):
+    """Every sum plus every column, sums outer: one level of a product box."""
+    for y in sums:
+        for column in columns:
+            yield tuple(map(add, y, column))
 
 
 def cokernel(mat: Matrix) -> AbelianGroup:

@@ -18,9 +18,11 @@ coordinate, where every ray's sign flips at most once.  Each (fan, class)
 box is scanned once: labels that differ by a principal label
 (r_j <m, v_j>)_j have translated characters (argument in
 :func:`_label_scan`), and one memoised pass per class gives the cohomology
-dims, the section count and the Euler characteristic together.  The
-self-check reads that triple, and the Serre dual label's dims, once per
-label of its box, and makes all its comparisons in that one pass.
+dims, the section count and the Euler characteristic together, and the
+fan's kernel weighs each pattern of those scans by a per-fan memo of its two
+pattern tables.  The self-check judges its box once per class: the first
+label of a class reads that triple and its Serre dual's dims, and the other
+labels of the class repeat the verdict.
 """
 
 from __future__ import annotations
@@ -223,6 +225,8 @@ class _ScanKernel:
     classes: lattice.AbelianGroup
     # class key -> (h^0, ..., h^rank, sections, chi), filled by _label_scan
     scans: dict = field(default_factory=dict)
+    # pattern -> (_pattern_cohomology, _pattern_euler), filled by _label_scan
+    weights: dict = field(default_factory=dict)
 
 
 def _adjugate(mat) -> list[list[int]]:
@@ -276,20 +280,23 @@ def _certified_box(fan: StackyFan, k) -> tuple[tuple[int, ...], tuple[int, ...]]
 
     The vertex of a d-subset S of rays with independent rows is
     adj_S (-k_S) / det_S, from the kernel's label-free adjugate and positive
-    determinant, so its ceil and floor are integer floor divisions.  When
-    lo > hi in some coordinate, the hull holds no lattice point and the
-    empty scan is correct.  Completeness is checked first; an incomplete fan
-    raises OracleBoxError.
+    determinant, so its ceil and floor are integer floor divisions, and one
+    pass over the solvers keeps their running min and max.  When lo > hi in
+    some coordinate, the hull holds no lattice point and the empty scan is
+    correct.  Completeness is checked first; an incomplete fan raises
+    OracleBoxError.
     """
-    verts = []
+    lo, hi = [None] * fan.rank, [None] * fan.rank
     for subset, adj, det in _scan_kernel(fan).solvers:
         rhs = [-k[j] for j in subset]
-        verts.append((tuple(sum(map(mul, row, rhs)) for row in adj), det))
-    lo = tuple(min(-(-num[i] // det) for num, det in verts)
-               for i in range(fan.rank))
-    hi = tuple(max(num[i] // det for num, det in verts)
-               for i in range(fan.rank))
-    return lo, hi
+        for i, row in enumerate(adj):
+            num = sum(map(mul, row, rhs))
+            ceil, floor = -(-num // det), num // det
+            if lo[i] is None or ceil < lo[i]:
+                lo[i] = ceil
+            if hi[i] is None or floor > hi[i]:
+                hi[i] = floor
+    return tuple(lo), tuple(hi)
 
 
 # ---------------------------------------------------------------------------
@@ -342,6 +349,8 @@ def _label_scan(fan: StackyFan, k: tuple[int, ...]) -> tuple[int, ...]:
     of a class is scanned.  The three public reads each take their slice.
     Each pattern's count is weighed twice, by its rank-computed dims and by
     its face-count Euler piece, and the two sums never read each other.
+    The kernel keeps both weights of each pattern it has met, so a pattern's
+    two tables are looked up once per fan.
     """
     kernel = _scan_kernel(fan)
     key = kernel.classes.class_key(k)
@@ -349,11 +358,17 @@ def _label_scan(fan: StackyFan, k: tuple[int, ...]) -> tuple[int, ...]:
     if result is None:
         dims = [0] * (fan.rank + 1)
         chi = 0
+        weights = kernel.weights
         counts = _pattern_counts(fan, k)
         for pattern, count in counts.items():
-            for q, x in enumerate(_pattern_cohomology(fan, pattern)):
+            weight = weights.get(pattern)
+            if weight is None:
+                weight = weights[pattern] = (_pattern_cohomology(fan, pattern),
+                                             _pattern_euler(fan, pattern))
+            cohom, euler = weight
+            for q, x in enumerate(cohom):
                 dims[q] += count * x
-            chi += count * _pattern_euler(fan, pattern)
+            chi += count * euler
         result = kernel.scans[key] = (*dims, counts[frozenset()], chi)
     return result
 
@@ -480,14 +495,20 @@ class SelfCheckReport:
 
 
 def oracle_self_check(fan: StackyFan, bound: int) -> SelfCheckReport:
-    """Internal consistency suite for one fan, in one pass over its labels.
+    """Internal consistency suite for one fan, judged once per class.
 
     Completeness, structure sheaf dims (1, 0, ..., 0), and for every label k
     in [-bound, bound]^rays: Serre duality h^q(k) == h^(rank-q)(K - k) with
     the canonical label K = (-1, ..., -1), h^0 against the direct
     section-polytope count, and the alternating sum of dims against the
-    face-count Euler characteristic.  Each label's scan is read once for all
-    three.  A negative bound would check nothing and raises ValueError.
+    face-count Euler characteristic.  A negative bound would check nothing
+    and raises ValueError.
+
+    All three verdicts depend on k only through its class (see
+    :func:`_label_scan`; the dual K - k moves with k's class).  So the box is
+    walked with its class keys, the first label of each class reads its own
+    scan and its dual's, and every later label of the class repeats that
+    verdict: a failing class lists each of its labels, in box order.
     """
     if bound < 0:
         raise ValueError(f"bound must be nonnegative, got {bound}")
@@ -503,17 +524,26 @@ def oracle_self_check(fan: StackyFan, bound: int) -> SelfCheckReport:
     zero = _label_scan(fan, (0,) * len(fan.rays))[:top]
     zero_ok = zero == (1,) + (0,) * fan.rank
     duality_bad, section_bad, euler_bad = [], [], []
-    for k in product(range(-bound, bound + 1), repeat=len(fan.rays)):
-        scan = _label_scan(fan, k)
-        dims, (sections, chi) = scan[:top], scan[top:]
-        dual = _label_scan(fan, tuple(-1 - x for x in k))[:top]
-        if dims != dual[::-1]:
-            duality_bad.append((k, dims, dual))
-        if dims[0] != sections:
-            section_bad.append((k, dims[0], sections))
-        alternating = sum((-1) ** q * x for q, x in enumerate(dims))
-        if alternating != chi:
-            euler_bad.append((k, alternating, chi))
+    verdicts = {}                        # class key -> its failing checks
+    labels = product(range(-bound, bound + 1), repeat=len(fan.rays))
+    keys = _scan_kernel(fan).classes.box_class_keys(bound)
+    for k, key in zip(labels, keys):
+        verdict = verdicts.get(key)
+        if verdict is None:
+            scan = _label_scan(fan, k)
+            dims, (sections, chi) = scan[:top], scan[top:]
+            dual = _label_scan(fan, tuple(-1 - x for x in k))[:top]
+            alternating = sum((-1) ** q * x for q, x in enumerate(dims))
+            verdict = []
+            if dims != dual[::-1]:
+                verdict.append((duality_bad, (dims, dual)))
+            if dims[0] != sections:
+                verdict.append((section_bad, (dims[0], sections)))
+            if alternating != chi:
+                verdict.append((euler_bad, (alternating, chi)))
+            verdict = verdicts[key] = tuple(verdict)
+        for found, values in verdict:
+            found.append((k, *values))
     return SelfCheckReport(
         ok=zero_ok and not (duality_bad or section_bad or euler_bad),
         complete=True, zero_label_ok=zero_ok,

@@ -17,9 +17,14 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from torsod import (
     GenerationCertificate,
+    SelfCheckReport,
     canned_example,
+    check_complete,
+    cohomology,
+    euler_characteristic,
     generation_certificate,
     make_datum,
+    section_count,
     sigma,
     sigma_alpha,
     verify_certificate,
@@ -565,6 +570,54 @@ def ref_vertex_box(fan, k):
     lo = tuple(min(ceil(v[i]) for v in verts) for i in range(d))
     hi = tuple(max(floor(v[i]) for v in verts) for i in range(d))
     return lo, hi
+
+
+def ref_class_key(group, vec):
+    """Reference for ``AbelianGroup.class_key``: every Smith coordinate.
+
+    y = U vec through ``_coords``, each torsion coordinate modulo its
+    invariant factor, each free one as it is, and the unit-diagonal ones
+    dropped after they were computed.
+    """
+    diag = group._diag + (0,) * group.free_rank
+    return tuple(y % di if di else y
+                 for y, di in zip(group._coords(vec), diag) if di != 1)
+
+
+def ref_oracle_self_check(fan, bound):
+    """Reference for ``oracle.oracle_self_check``: label by label.
+
+    Every label of the box and its Serre dual are read through the public
+    ``cohomology``, ``section_count`` and ``euler_characteristic``, with no
+    verdict shared between the labels of a class.
+    """
+    if bound < 0:
+        raise ValueError(f"bound must be nonnegative, got {bound}")
+    if not check_complete(fan):
+        return SelfCheckReport(
+            ok=False, complete=False, zero_label_ok=False, checked=0,
+            duality_mismatches=(), section_mismatches=(), euler_mismatches=())
+    n = len(fan.rays)
+    zero_ok = cohomology(fan, (0,) * n) == (1,) + (0,) * fan.rank
+    duality_bad, section_bad, euler_bad = [], [], []
+    for k in product(range(-bound, bound + 1), repeat=n):
+        dims = cohomology(fan, k)
+        dual = cohomology(fan, tuple(-1 - x for x in k))
+        if dims != dual[::-1]:
+            duality_bad.append((k, dims, dual))
+        sections = section_count(fan, k)
+        if dims[0] != sections:
+            section_bad.append((k, dims[0], sections))
+        alternating = sum((-1) ** q * x for q, x in enumerate(dims))
+        chi = euler_characteristic(fan, k)
+        if alternating != chi:
+            euler_bad.append((k, alternating, chi))
+    return SelfCheckReport(
+        ok=zero_ok and not (duality_bad or section_bad or euler_bad),
+        complete=True, zero_label_ok=zero_ok, checked=(2 * bound + 1) ** n,
+        duality_mismatches=tuple(duality_bad),
+        section_mismatches=tuple(section_bad),
+        euler_mismatches=tuple(euler_bad))
 
 
 def ref_has_cycle(cert):

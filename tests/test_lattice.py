@@ -1,10 +1,14 @@
 import random
 from fractions import Fraction
+from itertools import product
 from math import prod
 
 import pytest
-from props import mat_mul, ref_determinant, ref_rank_q, solve_rational
+from props import (mat_mul, ref_class_key, ref_determinant, ref_rank_q,
+                   solve_rational)
 
+from torsod import (canned_example, canned_fan, example_names, fan_names,
+                    fiber_model)
 from torsod.lattice import (
     AbelianGroup,
     cokernel,
@@ -17,6 +21,7 @@ from torsod.lattice import (
     rank_q,
     smith_normal_form_full,
 )
+from torsod.oracle import _scan_kernel
 
 
 def test_smith_normal_form_small():
@@ -178,6 +183,48 @@ def test_class_key_separates_exactly_the_classes():
         assert (group.class_key(other) == key) == same, (mat, vec, other)
     with pytest.raises(ValueError):
         cokernel([[2, 0], [0, 4]]).class_key((1,))
+
+
+def _catalog_groups():
+    """(name, class group) of every catalog fan: the canned fans and the
+    source, target and fiber fans of every canned extraction."""
+    groups = [(name, _scan_kernel(canned_fan(name)).classes)
+              for name in fan_names()]
+    for name in example_names():
+        pair = canned_example(name)
+        for role, fan in (("source", pair.fan_x), ("target", pair.fan_y),
+                          ("fiber", fiber_model(pair).fan)):
+            groups.append((f"{name} {role}", _scan_kernel(fan).classes))
+    return groups
+
+
+def test_class_key_matches_the_smith_coordinate_reference():
+    rng = random.Random(38)
+    for name, group in _catalog_groups():
+        for _ in range(200):
+            vec = [rng.randint(-9, 9) for _ in range(group.ambient_rank)]
+            assert group.class_key(vec) == ref_class_key(group, vec), name
+        with pytest.raises(ValueError):
+            group.class_key((0,) * (group.ambient_rank + 1))
+
+
+def test_box_class_keys_follow_the_product_order():
+    groups = [group for name, group in _catalog_groups()
+              if name.split()[0] in ("a1-half", "a2-third", "a1-half-line")]
+    groups.append(cokernel([[2, 0], [0, 4]]))            # finite, torsion
+    rng = random.Random(380)
+    groups += [cokernel(_random_matrix(rng, rng.randint(1, 4),
+                                       rng.randint(1, 3), (-6, 6)))
+               for _ in range(40)]
+    assert any(not g.ambient_rank for g in groups)        # rank-0 fiber
+    assert any(g.free_rank for g in groups)
+    assert any(g.invariant_factors for g in groups)
+    assert any(not g.free_rank and g.invariant_factors for g in groups)
+    for group in groups:
+        for bound in range(3):
+            box = product(range(-bound, bound + 1), repeat=group.ambient_rank)
+            assert list(group.box_class_keys(bound)) == [
+                group.class_key(k) for k in box], (group, bound)
 
 
 def test_cokernel_pinned_group():

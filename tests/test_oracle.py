@@ -39,7 +39,7 @@ from torsod.oracle import (
     _scan_kernel,
 )
 
-from props import ref_check_complete, ref_vertex_box
+from props import ref_check_complete, ref_oracle_self_check, ref_vertex_box
 from test_golden import GOLDEN, run_command
 
 
@@ -158,6 +158,46 @@ def test_each_self_check_comparison_can_fail(monkeypatch, name, mutate,
     assert not report.ok and report.checked == 125
     assert (len(report.duality_mismatches), len(report.section_mismatches),
             len(report.euler_mismatches)) == counts
+
+
+def _euler_plus_one_on_two_rays(table):
+    return lambda fan, p: table(fan, p) + (len(p) == 2)
+
+
+def _h0_plus_one_on_three_rays(table):
+    def tampered(fan, p):
+        dims = table(fan, p)
+        return (dims[0] + 1,) + dims[1:] if len(p) == 3 else dims
+    return tampered
+
+
+@pytest.mark.parametrize("tampers, counts", [
+    ({"_pattern_euler": _euler_plus_one_on_two_rays},
+     [(0, 0, 53), (0, 0, 321), (0, 0, 2852), (0, 0, 6)]),
+    ({"_pattern_cohomology": _h0_plus_one_on_three_rays},
+     [(92, 20, 20), (625, 235, 235), (3125, 2648, 2648), (0, 0, 0)]),
+    ({"_pattern_euler": _euler_plus_one_on_two_rays,
+      "_pattern_cohomology": _h0_plus_one_on_three_rays},
+     [(92, 20, 53), (625, 235, 287), (3125, 2648, 2850), (0, 0, 6)]),
+], ids=["euler", "h0", "both"])
+def test_failing_self_check_reports_equal_the_per_label_reference(
+        monkeypatch, tampers, counts):
+    """A class's verdict is repeated for every label of the class, so a
+    failing report lists exactly the labels the per-label loop lists."""
+    pair = canned_example("a1-half-line")
+    fans = [canned_fan("p2"), pair.fan_y, pair.fan_x, fiber_model(pair).fan]
+    for name, tamper in tampers.items():
+        monkeypatch.setattr(oracle, name, tamper(getattr(oracle, name)))
+    _clear_scan_memos()
+    try:
+        reports = [(oracle_self_check(fan, 2), ref_oracle_self_check(fan, 2))
+                   for fan in fans]
+    finally:
+        _clear_scan_memos()             # no mutant scan outlives the test
+    for got, want in reports:
+        assert got == want
+    assert [(len(got.duality_mismatches), len(got.section_mismatches),
+             len(got.euler_mismatches)) for got, _ in reports] == counts
 
 
 def test_self_check_refuses_a_negative_bound():
@@ -547,29 +587,43 @@ def test_verify_sod_scans_one_box_per_class(monkeypatch, tmp_path):
     pair = canned_example("a1-half-line")
     roles = {pair.fan_y: "target", pair.fan_x: "source",
              fiber_model(pair).fan: "fiber"}
-    labels, scans = defaultdict(set), Counter()
+    labels, checked, scans = defaultdict(set), defaultdict(set), Counter()
     label_scan, pattern_counts = oracle._label_scan, oracle._pattern_counts
+    self_check, checking = oracle.oracle_self_check, []
 
     def read(fan, k):
         labels[roles[fan]].add(k)
+        if checking:
+            checked[roles[fan]].add(k)
         return label_scan(fan, k)
 
     def scan(fan, k):
         scans[roles[fan]] += 1
         return pattern_counts(fan, k)
 
+    def traced_self_check(fan, bound):
+        checking.append(fan)
+        try:
+            return self_check(fan, bound)
+        finally:
+            checking.pop()
+
     monkeypatch.setattr(oracle, "_label_scan", read)
     monkeypatch.setattr(oracle, "_pattern_counts", scan)
+    monkeypatch.setattr(oracle, "oracle_self_check", traced_self_check)
     _scan_kernel.cache_clear()           # fresh kernels, empty memos
     got = run_command(["oracle", "a1-half-line", "--verify-sod"], tmp_path)
     name = "oracle-a1-half-line-verify"
     assert got["json"] == (GOLDEN / f"{name}.json").read_bytes()
     assert {role: len(seen) for role, seen in labels.items()} == {
-        "target": 1068, "source": 5226, "fiber": 98}
+        "target": 284, "source": 1001, "fiber": 38}
     assert scans == {"target": 112, "source": 676, "fiber": 19}   # 807 boxes
     for fan, role in roles.items():
         key = _scan_kernel(fan).classes.class_key
         assert len({key(k) for k in labels[role]}) == scans[role]
+        # the self-check reads a class's first label and its dual, no more
+        classes = {key(k) for k in checked[role]}
+        assert len(checked[role]) <= 2 * len(classes), role
 
 
 def test_oracle_imports_no_torsod_module_but_errors_and_lattice():
