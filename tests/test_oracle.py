@@ -623,7 +623,7 @@ def test_verify_sod_scans_one_box_per_class(monkeypatch, tmp_path):
         assert len({key(k) for k in labels[role]}) == scans[role]
         # the self-check reads a class's first label and its dual, no more
         classes = {key(k) for k in checked[role]}
-        assert len(checked[role]) <= 2 * len(classes), role
+        assert checked[role] and len(checked[role]) <= 2 * len(classes), role
 
 
 def test_oracle_imports_no_torsod_module_but_errors_and_lattice():
