@@ -73,7 +73,8 @@ def _finish(args, command: str, name: str, digest: str, checks) -> int:
         with open(args.json, "wb") as fh:
             fh.write(run.to_json_bytes())
     if args.markdown:
-        with open(args.markdown, "w", encoding="ascii") as fh:
+        with open(args.markdown, "w", encoding="ascii",
+                  errors="backslashreplace") as fh:
             fh.write(run.to_markdown() + "\n")
     print(report.render_stdout(run, elapsed))
     return 0 if run.ok else 1
@@ -107,30 +108,29 @@ def cmd_classify(args) -> int:
 def _certificate_check(datum, bound: int, max_depth: int) -> report.Check:
     """Verify the generation certificate of the box [-bound, bound]^n.
 
-    Only the tail-zero DAG of the box's heads is built and verified, one
-    witness part at a time (sod.certificate_parts); every tail's DAG is its
-    translate, which verifies exactly when it does.  So the counts are the
-    parts' times the number of tails, and a failing part is translated to
-    each tail and verified there: its violations come once per tail, in
-    (tail, witness) order, with the tail in their keys and labels.
+    Only the certificate of the box's heads is built and verified: every
+    tail's is its translate, which verifies exactly when it does
+    (sod.box_heads), so the counts are the heads' times the number of tails.
+    If the heads' certificate fails, each tail's own certificate, built from
+    the heads with that tail put in, is verified, and its violations are
+    listed tail by tail.
     """
-    side, width = range(-bound, bound + 1), datum.n - datum.alpha
+    alpha, side = datum.alpha, range(-bound, bound + 1)
+    width = datum.n - alpha
+    heads = sod.box_heads(datum, bound)
+    cert = sod.generation_certificate(datum, heads, max_depth)
+    verdict = sod.verify_certificate(datum, cert)
     tails = len(side) ** width
-    targets = nodes = 0
-    failing = []
-    for cert in sod.certificate_parts(datum, bound, max_depth):
-        if not sod.verify_certificate(datum, cert).ok:
-            failing.append(cert)
-        targets += len(cert.targets)
-        nodes += len(cert.nodes)
-        del cert   # free this part before the next one is built
-    violations = [
-        violation for tail in product(side, repeat=width) for cert in failing
+    violations = [] if verdict.ok else [
+        violation for tail in product(side, repeat=width)
         for violation in sod.verify_certificate(
-            datum, sod.translate_certificate(datum, cert, tail)).violations]
+            datum, sod.generation_certificate(
+                datum, [head[:alpha] + tail for head in heads],
+                max_depth)).violations]
     return report.Check(
-        name="generation-certificate", ok=not violations,
-        summary=f"{targets * tails} targets, {nodes * tails} nodes, "
+        name="generation-certificate", ok=verdict.ok,
+        summary=f"{len(cert.targets) * tails} targets, "
+                f"{len(cert.nodes) * tails} nodes, "
                 f"{len(violations)} violations",
         rows=tuple({"code": code, "node": key, "detail": detail}
                    for code, key, detail in violations))
@@ -138,12 +138,11 @@ def _certificate_check(datum, bound: int, max_depth: int) -> report.Check:
 
 def cmd_sod(args) -> int:
     name, _, datum, digest = _load(args.model)
-    # The generation certificate is built over the box's heads, its labels
-    # with the tail zero, one witness part at a time, and each part is
-    # verified and freed before the next (sod.certificate_parts): every
-    # other tail's DAG is a translate of it.  An over-deep descent is
-    # refused before any part is built or anything is enumerated.  The row
-    # is built first and still comes last.
+    # The generation certificate is built once, over the box's heads, its
+    # labels with the tail zero (sod.box_heads): every other tail's DAG is
+    # a translate of it.  generation_certificate reads every root before it
+    # builds a node, so an over-deep descent is refused before anything is
+    # built or enumerated.  The row is built first and still comes last.
     bound = args.box
     cert_check = _certificate_check(datum, bound, args.max_depth)
     checks = []

@@ -32,7 +32,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from operator import add, attrgetter, index, mul, sub
+from operator import attrgetter, index, mul, sub
 
 from . import errors, lattice
 from .extraction import (
@@ -613,86 +613,23 @@ def box_heads(d: ExtractionDatum, bound: int) -> list[tuple[int, ...]]:
     A head is a box label whose exponents past alpha are zero, so it is the
     zero extension of a length-alpha label of [-bound, bound]^alpha; the
     heads come in ``product`` order.  A negative bound raises ValueError.
+
+    The certificate of the heads stands for the whole box.  Lemma: every
+    rule of :func:`verify_certificate` is invariant under adding
+    (0, ..., 0, t) to every label of a DAG and filling t into its keys.
+    c_i = 0 for alpha < i <= n, so W and the windows do not change; Koszul
+    corners and block leaves move only the head, so corner sets and block
+    keys shift together; and the measure sum(label) shifts by the constant
+    sum(t).  So :func:`generation_certificate` of the heads with tail t put
+    in is the heads' certificate with t put in, node for node: the heads'
+    certificate verifies exactly when every tail's does, and the box has
+    |tails| times its targets and nodes.
     """
     if bound < 0:
         raise ValueError(f"bound must be nonnegative, got {bound}")
     zero = (0,) * (d.n - d.alpha)
     return [head + zero
             for head in product(range(-bound, bound + 1), repeat=d.alpha)]
-
-
-def certificate_parts(d: ExtractionDatum, bound: int,
-                      max_depth: int = MAX_DEPTH):
-    """Yield the certificate of the heads of [-bound, bound]^n by witness.
-
-    The targets are :func:`box_heads`, one part per witness, ascending, each
-    in box order.  Koszul children and block leaves inherit their parent's
-    witness (CORNER_SET, BLOCK_MISMATCH), so the parts are closed,
-    node-disjoint DAGs that together are :func:`generation_certificate`
-    over the heads.
-
-    Lemma: every rule of :func:`verify_certificate` is invariant under
-    adding (0, ..., 0, t) to every label of a DAG and filling t into its
-    keys.  c_i = 0 for alpha < i <= n, so W and the windows do not change;
-    Koszul corners and block leaves move only the head, so corner sets and
-    block keys shift together; and the measure sum(label) shifts by the
-    constant sum(t).  So the DAG of the box's targets with tail t is the
-    heads' DAG with t put in, node for node (:func:`translate_certificate`):
-    a part that verifies verifies at every tail, and the box has |tails|
-    times the heads' targets and nodes.
-
-    At the first ``next()`` the heads' largest witnessed W refuses an
-    over-deep descent as :func:`generation_certificate` would over the box,
-    before any part is built; then each ``next()`` builds one part.  A
-    negative bound raises ValueError at the first ``next()``.
-    """
-    ctx = _extraction_context(d)
-    groups: dict[int, list[tuple[int, ...]]] = {}
-    for head, witness, _ in _roots(ctx, box_heads(d, bound), max_depth):
-        groups.setdefault(witness, []).append(head)
-    for witness in sorted(groups):
-        yield generation_certificate(d, groups.pop(witness), max_depth)
-
-
-def translate_certificate(d: ExtractionDatum, cert: GenerationCertificate,
-                          tail) -> GenerationCertificate:
-    """``cert`` with ``tail`` added to label[alpha:] of every label and key.
-
-    The target labels, node labels, node keys, child keys and block keys
-    all move, so a tail-zero part of :func:`certificate_parts` becomes the
-    part of the same witness at ``tail``.  A key not of the builder's form
-    names no label and is kept as it is.
-    """
-    alpha, tail = d.alpha, tuple(tail)
-
-    def label_at(label):
-        if len(label) != d.n:
-            return label   # a BAD_LABEL node stays as it is
-        return tuple(label[:alpha]) + tuple(map(add, label[alpha:], tail))
-
-    moved: dict[str, str] = {}   # each key is parsed once
-
-    def key_at(key):
-        if key not in moved:
-            try:
-                prefix, entries, witness = key.split("|")
-                label = tuple(map(int, entries.split(",")))
-            except ValueError:
-                moved[key] = key
-            else:
-                moved[key] = "|".join(
-                    (prefix, ",".join(map(str, label_at(label))), witness))
-        return moved[key]
-
-    return GenerationCertificate(
-        targets=tuple((label_at(label), key_at(key))
-                      for label, key in cert.targets),
-        nodes=tuple(CertificateNode(
-            key=key_at(node.key), label=label_at(node.label),
-            witness=node.witness, W=node.W, kind=node.kind,
-            children=tuple(map(key_at, node.children)),
-            block_key=node.block_key and key_at(node.block_key))
-            for node in cert.nodes))
 
 
 def generation_certificate(

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from torsod import (
+    CertificateNode,
     GenerationCertificate,
     SelfCheckReport,
     canned_example,
@@ -44,10 +45,8 @@ from torsod.lattice import (
 )
 from torsod.serialize import certificate_from_obj, certificate_to_obj
 from torsod.sod import (BlockLabel, OrthogonalityEntry,
-                        _extraction_context, _refuse_depth,
                         _restricted_class_lattice, _vanishes, _window_witness,
-                        block_labels, box_heads, certificate_parts,
-                        translate_certificate)
+                        block_labels, box_heads)
 
 
 def mat_mul(a, b):
@@ -669,37 +668,28 @@ def ref_longest_descent(cert):
     return max(height.values(), default=0)
 
 
-def ref_certificate_parts(d, bound, max_depth=sod.MAX_DEPTH):
-    """Reference for the certificate of the box [-bound, bound]^n in parts.
+def ref_tail_certificates(d, bound, max_depth=sod.MAX_DEPTH):
+    """Reference for the certificate of the box [-bound, bound]^n by tail.
 
-    One closed DAG per (tail, witness), built from the box's own targets by
+    One certificate per tail, in ``product`` order, built by
     ``sod.generation_certificate`` (looked up at call time, so a patched
-    builder is used): tails in ``product`` order, witnesses ascending within
-    a tail, each part's targets in box order.  An over-deep descent is
-    refused at the first ``next()``, before any part is built.
+    builder is used) from the box's own targets with that tail, in box
+    order.
     """
-    if bound < 0:
-        raise ValueError(f"bound must be nonnegative, got {bound}")
-    ctx = _extraction_context(d)
-    alpha, side = d.alpha, range(-bound, bound + 1)
-    witnessed = [_window_witness(ctx, ctx.W(zero_extended(d, head)))
-                 for head in product(side, repeat=alpha)]
-    _refuse_depth(ctx, max((W for _, W in witnessed), default=0), max_depth)
-    for tail in product(side, repeat=d.n - alpha):
-        groups = {}
-        for head, (witness, _) in zip(product(side, repeat=alpha), witnessed):
-            groups.setdefault(witness, []).append(head + tail)
-        for witness in sorted(groups):
-            yield sod.generation_certificate(d, groups.pop(witness), max_depth)
+    side = range(-bound, bound + 1)
+    heads = list(product(side, repeat=d.alpha))
+    for tail in product(side, repeat=d.n - d.alpha):
+        yield sod.generation_certificate(
+            d, [head + tail for head in heads], max_depth)
 
 
 def ref_certificate_check(datum, bound, max_depth):
-    """Reference for ``cli._certificate_check``: verify every (tail,
-    witness) part of :func:`ref_certificate_parts` and sum them into the
-    ``generation-certificate`` row, violations part by part."""
+    """Reference for ``cli._certificate_check``: verify every tail's own
+    certificate (:func:`ref_tail_certificates`) and sum them into the
+    ``generation-certificate`` row, violations tail by tail."""
     targets = nodes = 0
     violations = []
-    for cert in ref_certificate_parts(datum, bound, max_depth):
+    for cert in ref_tail_certificates(datum, bound, max_depth):
         violations += verify_certificate(datum, cert).violations
         targets += len(cert.targets)
         nodes += len(cert.nodes)
@@ -711,32 +701,60 @@ def ref_certificate_check(datum, bound, max_depth):
                    for code, key, detail in violations))
 
 
-def check_witness_parts(d, bound):
-    """The ``certificate_parts`` of the box [-bound, bound]^n, translated to
-    every tail, add up to its certificate.
+def ref_translate(d, cert, tail):
+    """Reference: ``cert`` with ``tail`` put in label[alpha:] of every label.
 
-    The parts cover ``box_heads``, one witness each, ascending.  The
-    translation lemma, node by node: the reference part of each (tail,
-    witness), built from the tail's own targets, is the tail-zero part of
-    its witness with the tail put in by ``translate_certificate``, target
-    for target and node for node (node equality compares the key, label,
-    witness, W, kind, children and block key).  The reference parts
-    together are the certificate of the box, so the parts are
+    Target labels, node labels and node, child and block keys all move.
+    Only honest certificates: every key is of the builder's ``P|x,...|w``
+    form and every label has length n.
+    """
+    alpha, tail = d.alpha, tuple(tail)
+
+    def label_at(label):
+        assert len(label) == d.n
+        return tuple(label[:alpha]) + tuple(
+            x + t for x, t in zip(label[alpha:], tail))
+
+    def key_at(key):
+        prefix, entries, witness = key.split("|")
+        label = label_at(tuple(map(int, entries.split(","))))
+        return f"{prefix}|{','.join(map(str, label))}|{witness}"
+
+    return GenerationCertificate(
+        targets=tuple((label_at(label), key_at(key))
+                      for label, key in cert.targets),
+        nodes=tuple(CertificateNode(
+            key=key_at(node.key), label=label_at(node.label),
+            witness=node.witness, W=node.W, kind=node.kind,
+            children=tuple(map(key_at, node.children)),
+            block_key=node.block_key and key_at(node.block_key))
+            for node in cert.nodes))
+
+
+def check_head_certificate(d, bound):
+    """The certificate of the heads of [-bound, bound]^n, with each tail put
+    in, adds up to the certificate of the box.
+
+    The translation lemma of ``box_heads``, node by node: the reference
+    certificate of each tail, built from the tail's own targets, is the
+    heads' certificate with the tail put in by :func:`ref_translate`,
+    target for target and node for node (node equality compares the key,
+    label, witness, W, kind, children and block key).  The tails'
+    certificates together are the certificate of the box, so they are
     node-disjoint and each keeps the box order of its targets.  Returns
     that certificate.
     """
     alpha, side = d.alpha, range(-bound, bound + 1)
-    assert box_heads(d, bound) == [zero_extended(d, head)
-                                   for head in product(side, repeat=alpha)]
-    parts = list(certificate_parts(d, bound))
-    witnesses = [{node.witness for node in part.nodes} for part in parts]
-    assert witnesses == [{w} for w in sorted(set().union(*witnesses))]
+    heads = box_heads(d, bound)
+    assert heads == [zero_extended(d, head)
+                     for head in product(side, repeat=alpha)]
+    cert = generation_certificate(d, heads)
 
-    refs = list(ref_certificate_parts(d, bound))
+    refs = list(ref_tail_certificates(d, bound))
     tails = list(product(side, repeat=d.n - alpha))
-    assert len(refs) == len(tails) * len(parts)
-    for ref, (tail, part) in zip(refs, product(tails, parts)):
-        assert translate_certificate(d, part, tail) == ref
+    assert len(refs) == len(tails)
+    for ref, tail in zip(refs, tails):
+        assert ref_translate(d, cert, tail) == ref
 
     box = list(product(side, repeat=d.n))
     whole = generation_certificate(d, box)
@@ -780,7 +798,7 @@ def run_certificate_roundtrip_properties(max_examples):
     and the descent reaches the block's own node.  The depth guard refuses
     exactly the certificates whose longest descent exceeds it, and a
     tampered certificate that verifies has no cycle.  The certificate of a
-    drawn box [-B, B]^n, B <= 2, adds up from its ``certificate_parts``
+    drawn box [-B, B]^n, B <= 2, adds up from its heads' certificate
     translated to every tail (the lemma, node by node).
     """
 
@@ -809,8 +827,8 @@ def run_certificate_roundtrip_properties(max_examples):
                 alias = data.draw(st.sampled_from(b.aliases))
                 targets.append(zero_extended(d, alias))
         cert = generation_certificate(d, targets)
-        check_witness_parts(d, data.draw(st.integers(min_value=0,
-                                                     max_value=2)))
+        check_head_certificate(d, data.draw(st.integers(min_value=0,
+                                                        max_value=2)))
         roots = cert.node_map()
         assert all(roots[key].kind == "koszul"
                    for _, key in cert.targets[count:])

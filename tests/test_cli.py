@@ -1,7 +1,6 @@
 import gc
 import json
 import tracemalloc
-import weakref
 from dataclasses import replace
 from itertools import product
 from operator import attrgetter
@@ -283,8 +282,8 @@ def test_schema_error_in_fan_file(tmp_path, capsys):
 
 
 def test_sod_max_depth_guard(capsys, monkeypatch):
-    # a2-third's longest Koszul descent at box 6 has 6 steps.  Every
-    # witness part is built under the bound given, not under the default.
+    # a2-third's longest Koszul descent at box 6 has 6 steps.  The heads'
+    # certificate is built once, under the bound given, not the default.
     code, _, err = run(["sod", "a2-third", "--max-depth", "5"], capsys)
     assert code == 2
     assert err == "error: generation recursion exceeded depth 5\n"
@@ -296,7 +295,7 @@ def test_sod_max_depth_guard(capsys, monkeypatch):
     monkeypatch.setattr(sod, "generation_certificate", recording_build)
     code, _, _ = run(["sod", "a2-third", "--max-depth", "6"], capsys)
     assert code == 0
-    assert len(depths) >= 2 and set(depths) == {6}
+    assert depths == [6]
 
 
 def test_sod_max_depth_bounds_every_target(tmp_path, capsys):
@@ -313,12 +312,12 @@ def test_sod_max_depth_bounds_every_target(tmp_path, capsys):
 
 def test_sod_refuses_depth_before_enumerating(tmp_path, capsys,
                                               monkeypatch, stress_datum):
-    # Neither a certificate part nor the decomposition is built: the depth
-    # is refused while the targets are split by witness.
+    # Neither a certificate node nor the decomposition is built: the depth
+    # is refused while the heads' roots are read.
     def refuse(*args, **kwargs):
         raise AssertionError("built before the depth refusal")
     monkeypatch.setattr(sod, "decompose", refuse)
-    monkeypatch.setattr(sod, "generation_certificate", refuse)
+    monkeypatch.setattr(sod, "CertificateNode", refuse)
     for datum in (make_datum(((1, 0), (1, 2), (1, 1)), (1, 1, -2),
                              (10, 10, 1)), stress_datum):
         path = tmp_path / "datum.json"
@@ -331,14 +330,15 @@ def test_sod_refuses_depth_before_enumerating(tmp_path, capsys,
 def test_sod_working_set_is_one_certificate_slice(tmp_path, capsys,
                                                   monkeypatch, stress_datum):
     # Traced bytes of `sod` on the stress datum at box 5 (22,759 nodes).
-    # The command builds, verifies and frees one witness part of the heads'
-    # tail-zero DAG at a time, whose nodes times the 11 tails are the whole
-    # certificate's, and its semiorthogonality entries store nothing per
-    # entry, so the whole command traces at most 0.3 times what one
-    # certificate of the whole box retains (about 0.11 times as measured;
-    # 0.16 with one part per tail and witness, 0.77 when the parts were
-    # split by witness alone and the entries were stored rows).  Box 5 is
-    # the smallest box where the certificate outweighs the decomposition.
+    # The command builds and verifies the certificate of the box's heads,
+    # whose nodes times the 11 tails are the whole certificate's, and its
+    # semiorthogonality entries store nothing per entry, so the whole
+    # command traces at most 0.3 times what one certificate of the whole
+    # box retains (about 0.15 times as measured; 0.11 when the heads were
+    # built one witness part at a time, 0.16 with one part per tail and
+    # witness, 0.77 when the parts were split by witness alone and the
+    # entries were stored rows).  Box 5 is the smallest box where the
+    # certificate outweighs the decomposition.
     path = tmp_path / "stress.json"
     path.write_bytes(canonical_json_bytes(datum_to_obj(stress_datum)))
     build = sod.generation_certificate
@@ -366,60 +366,60 @@ def test_sod_working_set_is_one_certificate_slice(tmp_path, capsys,
     finally:
         tracemalloc.stop()
     assert code == 0
-    assert len(parts) >= 2
     assert sum(nodes for nodes, _ in parts) * 11 == 22759
     assert not hasattr(parts[0][1], "__dict__")
     assert peak - start <= 0.3 * retained, (peak - start) / retained
 
 
-def test_sod_frees_each_part_before_building_the_next(capsys, monkeypatch):
-    # When a part is built, no earlier part is still referenced.
-    build, parts = sod.generation_certificate, []
+def _corrupting_build(monkeypatch, corrupt):
+    """Patch ``sod.generation_certificate`` to corrupt every certificate it
+    builds: shift the stored W of its first node, or drop the first child
+    in key order.  Returns the list of the keys it changed."""
+    build, changed = sod.generation_certificate, []
 
-    def checking_build(*args, **kwargs):
-        assert all(part() is None for part in parts)
+    def corrupt_build(*args, **kwargs):
         cert = build(*args, **kwargs)
-        parts.append(weakref.ref(cert))
-        return cert
-    monkeypatch.setattr(sod, "generation_certificate", checking_build)
-    code, _, _ = run(["sod", "a1-half", "--box", "2"], capsys)
-    assert code == 0 and len(parts) == 3
+        if corrupt == "shift-W":
+            node = cert.nodes[0]
+            changed.append(node.key)
+            return replace(cert, nodes=(replace(node, W=node.W + 1),)
+                           + cert.nodes[1:])
+        gone = min(key for node in cert.nodes for key in node.children)
+        changed.append(gone)
+        return replace(cert, nodes=tuple(node for node in cert.nodes
+                                         if node.key != gone))
+
+    monkeypatch.setattr(sod, "generation_certificate", corrupt_build)
+    return changed
 
 
 def test_sod_certificate_row_can_fail(tmp_path, capsys, monkeypatch):
-    # One node's stored W is shifted in the second of a1-half's three
-    # witness parts.  The row fails with that one violation, and every
-    # count and every other check is as in the passing run.
+    # Every build shifts one node's stored W.  a1-half has one tail, so the
+    # row fails with that one violation, every count and every other check
+    # is as in the passing run, and the report is byte-identical to the
+    # reference's, which verifies each tail's own certificate.
     report = tmp_path / "report.json"
     argv = ["sod", "a1-half", "--box", "2", "--json", str(report)]
     code, _, _ = run(argv, capsys)
     assert code == 0
     passing = json.loads(report.read_bytes())["checks"]
-    build = sod.generation_certificate
-    calls, shifted = [], []
-
-    def shifting_build(*args, **kwargs):
-        cert = build(*args, **kwargs)
-        calls.append(len(cert.nodes))
-        if len(calls) != 2:
-            return cert
-        node = cert.nodes[0]
-        shifted.append(node.key)
-        return replace(cert, nodes=(replace(node, W=node.W + 1),)
-                       + cert.nodes[1:])
-
-    monkeypatch.setattr(sod, "generation_certificate", shifting_build)
+    shifted = _corrupting_build(monkeypatch, "shift-W")
     code, _, _ = run(argv, capsys)
     assert code == 1
-    failing = json.loads(report.read_bytes())["checks"]
-    assert len(calls) == 3
+    failing = report.read_bytes()
+    assert len(shifted) == 2 and shifted[0] == shifted[1]
+    monkeypatch.setattr(cli, "_certificate_check", ref_certificate_check)
+    code, _, _ = run(argv, capsys)
+    assert code == 1
+    assert report.read_bytes() == failing
+    failing = json.loads(failing)["checks"]
     assert failing[:-1] == passing[:-1]
     row, ok_row = failing[-1], passing[-1]
     assert (row["name"], row["ok"], ok_row["ok"]) == (
         "generation-certificate", False, True)
     assert [(r["code"], r["node"]) for r in row["rows"]] == [
         ("W_MISMATCH", shifted[0])]
-    assert ok_row["summary"] == f"25 targets, {sum(calls)} nodes, 0 violations"
+    assert ok_row["summary"].startswith("25 targets, ")
     assert row["summary"] == ok_row["summary"].replace("0 violations",
                                                        "1 violations")
 
@@ -428,35 +428,17 @@ def test_sod_certificate_row_can_fail(tmp_path, capsys, monkeypatch):
 def test_sod_certificate_row_fails_once_per_tail(tmp_path, capsys,
                                                  monkeypatch, corrupt):
     # a1-half-line has n = 3 > alpha = 2: its box at --box 2 has 5 tails.
-    # The builder corrupts every part of the first two witnesses the same
-    # way: one node's stored W is shifted, or the first child in key order
-    # is dropped.  So `sod` meets two corrupt head parts, and the reference
-    # path, which builds and verifies every (tail, witness) part, meets two
-    # per tail.  The failing reports are byte-identical: each violation
-    # comes once per tail, in (tail, witness) order, with the tail in its
-    # keys and labels.
-    d = canned_example("a1-half-line").datum
-    build = sod.generation_certificate
-    witnesses = [part.nodes[0].witness
-                 for part in sod.certificate_parts(d, 2)][:2]
-
-    def corrupt_build(*args, **kwargs):
-        cert = build(*args, **kwargs)
-        if cert.nodes[0].witness not in witnesses:
-            return cert
-        if corrupt == "shift-W":
-            node = cert.nodes[0]
-            return replace(cert, nodes=(replace(node, W=node.W + 1),)
-                           + cert.nodes[1:])
-        gone = min(key for node in cert.nodes for key in node.children)
-        return replace(cert, nodes=tuple(node for node in cert.nodes
-                                         if node.key != gone))
-
-    monkeypatch.setattr(sod, "generation_certificate", corrupt_build)
+    # Every build is corrupted the same way, so `sod` meets a corrupt
+    # heads' certificate and then builds and verifies each tail's own
+    # certificate, as the reference does.  The failing reports are
+    # byte-identical: the violations come tail by tail, with the tail in
+    # their keys and labels, in the verifier's order within a tail.
+    changed = _corrupting_build(monkeypatch, corrupt)
     report = tmp_path / "report.json"
     argv = ["sod", "a1-half-line", "--box", "2", "--json", str(report)]
     code, _, _ = run(argv, capsys)
     assert code == 1
+    assert len(changed) == 6   # the heads, then each of the 5 tails
     failing = report.read_bytes()
     monkeypatch.setattr(cli, "_certificate_check", ref_certificate_check)
     code, _, _ = run(argv, capsys)
@@ -472,11 +454,11 @@ def test_sod_certificate_row_fails_once_per_tail(tmp_path, capsys,
 
 
 @pytest.mark.parametrize("model", ["a1-half-line", "stress"])
-def test_sod_builds_the_heads_once_per_witness(tmp_path, capsys, monkeypatch,
-                                               model, stress_datum):
-    # sod builds the certificate of the box from its heads alone: every
-    # target has the tail zero, each build holds the heads of one witness,
-    # witnesses ascending, and the nodes built are the heads' certificate.
+def test_sod_builds_the_heads_once(tmp_path, capsys, monkeypatch, model,
+                                   stress_datum):
+    # sod builds the certificate of the box from its heads alone, in one
+    # build: its targets are box_heads and its nodes are the heads'
+    # certificate.
     if model == "stress":
         d, model = stress_datum, str(tmp_path / "stress.json")
         (tmp_path / "stress.json").write_bytes(
@@ -486,22 +468,16 @@ def test_sod_builds_the_heads_once_per_witness(tmp_path, capsys, monkeypatch,
     build, calls = sod.generation_certificate, []
     heads = sod.box_heads(d, 2)
     whole = build(d, heads)
-    nodes = whole.node_map()
-    witness_of = {label: nodes[key].witness for label, key in whole.targets}
 
     def recording_build(datum, targets, max_depth=sod.MAX_DEPTH):
         targets = list(targets)
         cert = build(datum, targets, max_depth)
-        calls.append(([witness_of[label] for label in targets],
-                      len(cert.nodes)))
+        calls.append((targets, cert.nodes))
         return cert
     monkeypatch.setattr(sod, "generation_certificate", recording_build)
     code, _, _ = run(["sod", model, "--box", "2"], capsys)
     assert code == 0
-    assert [set(witnesses) for witnesses, _ in calls] == [
-        {witness} for witness in sorted(set(witness_of.values()))]
-    assert sum(len(witnesses) for witnesses, _ in calls) == len(heads)
-    assert sum(count for _, count in calls) == len(whole.nodes)
+    assert calls == [(heads, whole.nodes)]
 
 
 @pytest.mark.parametrize("model", ["a1-half", "a2-third", "a1-half-line"])
@@ -547,6 +523,20 @@ def test_directory_input_is_an_io_error(tmp_path, capsys):
     code, out, err = run(["classify", str(tmp_path)], capsys)
     assert (code, out) == (3, "")
     assert err == f"error: [Errno 21] Is a directory: '{tmp_path}'\n"
+
+
+def test_non_ascii_file_name_in_the_markdown_report(tmp_path, capsys):
+    # The markdown report is ASCII; a non-ASCII input name is escaped there,
+    # as the JSON report escapes it, instead of crashing the write.
+    path = tmp_path / "donn\u00e9es.json"
+    path.write_bytes(canonical_json_bytes(
+        datum_to_obj(canned_example("a1-half").datum)))
+    md, js = tmp_path / "r.md", tmp_path / "r.json"
+    code, _, err = run(["classify", str(path), "--markdown", str(md),
+                        "--json", str(js)], capsys)
+    assert (code, err) == (0, "")
+    assert "* input: donn\\xe9es.json\n" in md.read_text(encoding="ascii")
+    assert json.loads(js.read_bytes())["input"] == "donn\u00e9es.json"
 
 
 def test_oracle_unknown_name_lists_models_and_fans(capsys):

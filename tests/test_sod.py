@@ -8,7 +8,7 @@ from math import lcm, prod
 
 import pytest
 
-from props import (check_witness_parts, ref_W, ref_block_groups,
+from props import (check_head_certificate, ref_W, ref_block_groups,
                    ref_has_cycle, ref_longest_descent,
                    ref_semiorthogonality_entries, ref_sigma, ref_sigma_alpha,
                    ref_vanishes, ref_window_witness,
@@ -732,73 +732,24 @@ def test_certificates_verify_on_catalog(extraction_pairs):
                 assert node.W > 0
 
 
-def test_witness_parts_add_up_to_the_certificate(extraction_pairs,
-                                                 twist_datum, stress_datum):
+def test_head_certificate_adds_up_to_the_box(extraction_pairs, twist_datum,
+                                             stress_datum):
     for d in [pair.datum for pair in extraction_pairs] + [twist_datum,
                                                           stress_datum]:
         for bound in (0, 2):
-            check_witness_parts(d, bound)
+            check_head_certificate(d, bound)
 
 
-def _counting_builds(monkeypatch):
-    """Patch ``sod.generation_certificate`` to log each part's target count."""
-    build, calls = sod.generation_certificate, []
-
-    def counting_build(*args, **kwargs):
-        calls.append(len(args[1]))
-        return build(*args, **kwargs)
-    monkeypatch.setattr(sod, "generation_certificate", counting_build)
-    return calls
-
-
-def test_translate_keeps_what_names_no_label(a1_half_line):
-    # A key that is not of the builder's form and a label of the wrong
-    # length name no tail, so they stay as they are; the translate then
-    # fails exactly the rules the tail-zero certificate fails, at its keys.
-    d = a1_half_line.datum
-    cert = generation_certificate(d, [(1, 1, 0)])
-    odd = CertificateNode(key="odd", label=(1, 1), witness=0, W=0,
-                          kind="span", children=("L|x|0",))
-    bad = tamper(cert, nodes=cert.nodes + (odd,))
-    moved = sod.translate_certificate(d, bad, (2,))
-    assert moved.nodes == sod.translate_certificate(d, cert, (2,)).nodes + (
-        odd,)
-    assert moved.targets == (((1, 1, 2), "L|1,1,2|0"),)
-    assert [v[0] for v in verify_certificate(d, moved).violations] == [
-        v[0] for v in verify_certificate(d, bad).violations]
-
-
-def test_certificate_parts_are_built_on_demand(monkeypatch, a1_half,
-                                                 a1_half_line):
-    # The box is scanned, and an over-deep descent refused, at the first
-    # next(), before any part is built; after that each next() builds
-    # exactly one part, and the end of the parts builds none.
-    calls = _counting_builds(monkeypatch)
-    deep = make_datum(((1, 0), (0, 1), (1, 1)), (1, 1, -1), (4, 3, 1))
-    parts = sod.certificate_parts(deep, 1, max_depth=1)
-    with pytest.raises(DepthExceeded,
-                       match="generation recursion exceeded depth 1"):
-        next(parts)
-    assert calls == []
-    # Only the box's 25 heads are built, also where a1-half-line's tail
-    # has 5 values.
-    for pair in (a1_half, a1_half_line):
-        del calls[:]
-        parts = sod.certificate_parts(pair.datum, 2)
-        assert calls == []
-        built = 0
-        for part in parts:
-            built += 1
-            assert len(calls) == built
-            assert len(part.targets) == calls[-1]
-        assert built == 3 and sum(calls) == 25
-
-
-def test_certificate_parts_refuse_exactly_as_the_whole_box(
+def test_heads_certificate_refuses_exactly_as_the_whole_box(
         monkeypatch, extraction_pairs, twist_datum, stress_datum):
-    # certificate_parts refuses at its first next(), with nothing built,
-    # exactly when generation_certificate over the same box refuses.
-    calls = _counting_builds(monkeypatch)
+    # The certificate of the box's heads refuses, with no node built,
+    # exactly when generation_certificate over the whole box refuses.
+    built = []
+
+    def count_nodes(*args, **kwargs):
+        built.append(1)
+        return CertificateNode(*args, **kwargs)
+    monkeypatch.setattr(sod, "CertificateNode", count_nodes)
     datums = [pair.datum for pair in extraction_pairs] + [
         twist_datum, stress_datum,
         make_datum(((1, 0), (0, 1), (1, 1)), (1, 1, -1), (4, 3, 1)),
@@ -807,33 +758,29 @@ def test_certificate_parts_refuse_exactly_as_the_whole_box(
     for d in datums:
         for bound in range(4):
             box = list(product(range(-bound, bound + 1), repeat=d.n))
+            heads = sod.box_heads(d, bound)
             for max_depth in range(1, 9):
                 try:
                     generation_certificate(d, box, max_depth)
                     refused = False
                 except DepthExceeded:
                     refused = True
-                parts = sod.certificate_parts(d, bound, max_depth)
-                del calls[:]
+                del built[:]
                 if refused:
                     with pytest.raises(DepthExceeded):
-                        next(parts)
-                    assert calls == []
+                        generation_certificate(d, heads, max_depth)
+                    assert built == []
                 else:
-                    next(parts)
-                    assert len(calls) == 1
+                    generation_certificate(d, heads, max_depth)
+                    assert built
                 verdicts.add(refused)
     assert verdicts == {True, False}
 
 
-def test_certificate_parts_refuse_a_negative_bound(monkeypatch,
-                                                   a1_half_line):
-    # The empty box would yield no part and pass vacuously.
-    calls = _counting_builds(monkeypatch)
-    parts = sod.certificate_parts(a1_half_line.datum, -1)
+def test_box_heads_refuse_a_negative_bound(a1_half_line):
+    # The empty box would give no target and pass vacuously.
     with pytest.raises(ValueError, match="bound must be nonnegative, got -1"):
-        next(parts)
-    assert calls == []
+        sod.box_heads(a1_half_line.datum, -1)
 
 
 # ---------------------------------------------------------------------------
